@@ -9,30 +9,21 @@
 //!                   [--strategy seq|atomic|privatized|row_locked|scheduled]
 //!                   [--max-seconds S] [--fallback on|off]
 //! tenbench kernel   --all [file] [--dataset s4] [--nnz N] [--mode N] ...
-//! tenbench ablate-mttkrp [--dataset s4] [--nnz N] [--rank R]
-//!                   [--block-bits B] [--reps K] [--threads 1,2,4,8]
-//!                   [--out results.json] [--max-seconds S]
-//! tenbench ablate-simd [--dataset s4] [--nnz N] [--ranks 4,8,16]
-//!                   [--block-bits B] [--reps K] [--out BENCH_simd.json]
-//!                   [--min-speedup X]
-//! tenbench convert-bench [--dataset s4] [--nnz N] [--block-bits B]
-//!                   [--threads 1,2,4,8] [--reps K] [--out BENCH_convert.json]
-//!                   [--min-speedup X]
-//! tenbench scale-bench [--dataset s4] [--nnz N] [--rank R] [--block-bits B]
-//!                   [--threads 1,2,4,8] [--reps K] [--out BENCH_scaling.json]
-//!                   [--floors ci/scaling-floor.txt]
+//! tenbench bench    <mttkrp-sched|simd|convert|scale|obs-overhead>
+//!                   [--dataset s4] [--nnz N] [--rank R] [--block-bits B]
+//!                   [--reps K] [--threads 1,2,4,8] [--out BENCH_<suite>.json]
+//!                   [--floors ci/floors.txt]
+//!                   [--ranks 4,8,16 (simd)] [--rounds 3 (obs-overhead)]
+//!                   [--max-seconds S (mttkrp-sched)]
 //! tenbench verify   <file> [--block-bits B] [--rank R] [--max-seconds S]
 //! tenbench report   <trace.json | flight-dump.json>
-//! tenbench obs-overhead [--dataset s4] [--nnz N] [--rank R] [--block-bits B]
-//!                   [--reps K] [--threads 1,2,4] [--rounds 3]
-//!                   [--out BENCH_obs_overhead.json] [--max-overhead-pct X]
 //! tenbench serve    [--dataset s4] [--nnz N] [--rank R] [--workers W]
 //!                   [--queue-bound Q] [--max-batch B] [--cache-mb M]
 //!                   [--block-bits B] [--max-seconds S] [--flight-dump-dir DIR]
 //! tenbench stress   [--dataset s4] [--nnz N] [--tensors T] [--duration 5s]
 //!                   [--concurrency C] [--alpha A] [--rank R] [--workers W]
 //!                   [--queue-bound Q] [--max-batch B] [--cache-mb M]
-//!                   [--deadline-ms D] [--max-p99-ms X] [--min-hit-ratio H]
+//!                   [--deadline-ms D] [--floors ci/floors.txt]
 //!                   [--out BENCH_serve.json] [--flight-dump-dir DIR]
 //!                   [--net] [--connections C] [--shards S]
 //! tenbench chaos    [--seed S] [--duration 3s] [--jobs J] [--dim D]
@@ -40,20 +31,30 @@
 //!                   [--rank R] [--max-iters I] [--fault-rate P]
 //!                   [--max-step-seconds S] [--job-workers W]
 //!                   [--max-recoveries K] [--out BENCH_chaos.json]
-//!                   [--floors ci/chaos-floor.txt] [--flight-dump-dir DIR]
+//!                   [--floors ci/floors.txt] [--flight-dump-dir DIR]
 //! ```
 //!
-//! The measuring subcommands (`kernel`, `ablate-mttkrp`, `convert-bench`)
-//! additionally accept `--trace <path>` (write a chrome-trace JSON of the
-//! run, viewable in `about:tracing` / Perfetto) and `--profile` (append
-//! the hierarchical span profile, counters, and pool telemetry to the
-//! report). `report` validates and summarizes a written trace;
-//! `obs-overhead` measures the traced-vs-untraced cost of the capture.
+//! `bench <suite>` is the one measurement path: every suite parses the
+//! shared options above, times its cells on one calibrated timing core,
+//! writes a `{suite, env, config, rows}` artifact with `--out`, and
+//! enforces that suite's lines of the `--floors` file (format in
+//! `ci/floors.txt`). An option no subcommand reads is an error.
+//! `--threads 0` is rejected and the list is sorted and
+//! deduplicated; without it `mttkrp-sched` runs at the ambient pool size,
+//! which is also the only one `simd` takes. Default `--nnz` is 1,000,000 for `mttkrp-sched`,
+//! `convert`, and `scale`, and 200,000 for `simd` and `obs-overhead`.
+//!
+//! `kernel` and `bench` (except `obs-overhead`, which measures the
+//! traced-vs-untraced cost of the capture itself) additionally accept
+//! `--trace <path>` (write a chrome-trace JSON of the run, viewable in
+//! `about:tracing` / Perfetto) and `--profile` (append the hierarchical
+//! span profile, counters, and pool telemetry to the report). `report`
+//! validates and summarizes a written trace.
 //!
 //! Every subcommand accepts `--backend auto|scalar|simd`: it installs a
 //! process-wide kernel-backend override (outranking the `TENBENCH_BACKEND`
 //! environment variable), so `kernel --backend scalar` times the reference
-//! loops and `ablate-simd` can be forced either way for CI equivalence
+//! loops and `bench simd` can be forced either way for CI equivalence
 //! runs. `serve` and `stress` additionally accept `--layout hicoo|vb-hicoo`
 //! to select the cached tensor layout the service prepares and executes.
 //!
@@ -69,23 +70,24 @@
 //! demonstration request mix; `stress` drives it closed-loop with
 //! Zipf-skewed tensor popularity, probes overload shedding, and writes
 //! `BENCH_serve.json` with p50/p90/p99 latency, throughput, and cache hit
-//! ratio. Its gates (`--max-p99-ms`, `--min-hit-ratio`, and a mandatory
-//! typed queue-full rejection under overload) fail the process for CI.
+//! ratio. Its gates (the `stress` floors `p99_ms` and `hit_ratio`, and a
+//! mandatory typed queue-full rejection under overload) fail the process
+//! for CI.
 //! With `--net` the same load instead travels over loopback TCP: a
 //! `NetServer` with `--shards` fingerprint-partitioned shards serves
 //! `--connections` concurrent client connections speaking the `TNF1`
 //! frame protocol, latency is measured client-side around the socket
-//! round trip, and two extra gates apply — zero requests lost without a
-//! typed answer, and zero server-side protocol errors.
+//! round trip, the `stress-net` floors apply, and two extra gates apply —
+//! zero requests lost without a typed answer, and zero server-side
+//! protocol errors.
 //!
 //! `chaos` runs the fault-injection harness: kernel traffic plus
 //! long-running decomposition jobs on one live service stack, with
 //! injected step panics, watchdog-tripping hangs, checkpoint corruption,
 //! and queue-full bursts. It writes `BENCH_chaos.json` and fails the
-//! process unless every admitted job reaches a terminal state, at least
-//! `min_recoveries` faults were absorbed by checkpoint resume, every
-//! fault kind fired, and every completed CP-ALS job bitwise-matches an
-//! uninterrupted reference run.
+//! process unless no admitted job was lost, the `chaos` floor on
+//! checkpoint-resume recoveries holds, every fault kind fired, and every
+//! completed CP-ALS job bitwise-matches an uninterrupted reference run.
 //!
 //! `--flight-dump-dir DIR` (on `serve`, `stress`, and `chaos`) routes
 //! flight-recorder fault dumps to DIR: the always-on per-thread ring of
@@ -96,6 +98,7 @@
 //! pretty-prints a dump; under `chaos`, the run additionally fails unless
 //! every observed fault kind produced at least one dump.
 
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -137,30 +140,64 @@ fn serve_config(
     })
 }
 
-fn run() -> Result<String, Box<dyn std::error::Error>> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut pos: Vec<String> = Vec::new();
-    let mut opts: std::collections::HashMap<String, String> = std::collections::HashMap::new();
-    // Flags that do not consume a value.
-    const SWITCHES: [&str; 3] = ["profile", "all", "net"];
+/// Flags that do not consume a value.
+const SWITCHES: [&str; 3] = ["profile", "all", "net"];
+
+/// Every option some subcommand reads. Anything else is an error, so a
+/// typo or a retired flag can never be silently ignored.
+const OPTIONS: &str = "\
+    alpha backend block-bits cache-mb clients concurrency \
+    connections dataset deadline-ms dim dims duration fallback \
+    fault-rate flight-dump-dir floors format job-workers jobs \
+    layout max-batch max-iters max-recoveries max-seconds \
+    max-step-seconds mode nnz out queue-bound rank ranks reps \
+    rounds seed shards strategy tensors threads trace workers";
+
+/// Gate flags replaced by the floor file.
+const RETIRED_GATES: [&str; 4] = [
+    "min-speedup",
+    "max-p99-ms",
+    "min-hit-ratio",
+    "max-overhead-pct",
+];
+
+/// Split the command line into positional arguments and `--key value`
+/// options (switches take the value `on`).
+fn parse_args(args: &[String]) -> Result<(Vec<String>, HashMap<String, String>), String> {
+    let mut pos = Vec::new();
+    let mut opts = HashMap::new();
     let mut i = 0;
     while i < args.len() {
-        if let Some(key) = args[i].strip_prefix("--") {
-            if SWITCHES.contains(&key) {
-                opts.insert(key.to_string(), "on".to_string());
-                i += 1;
-            } else {
-                let val = args
-                    .get(i + 1)
-                    .ok_or_else(|| format!("--{key} needs a value"))?;
-                opts.insert(key.to_string(), val.clone());
-                i += 2;
-            }
-        } else {
+        let Some(key) = args[i].strip_prefix("--") else {
             pos.push(args[i].clone());
             i += 1;
+            continue;
+        };
+        if SWITCHES.contains(&key) {
+            opts.insert(key.to_string(), "on".to_string());
+            i += 1;
+            continue;
         }
+        if RETIRED_GATES.contains(&key) {
+            return Err(format!(
+                "--{key} was removed; gates read their floors from --floors ci/floors.txt"
+            ));
+        }
+        if !OPTIONS.split_whitespace().any(|o| o == key) {
+            return Err(format!("unknown option --{key}"));
+        }
+        let val = args
+            .get(i + 1)
+            .ok_or_else(|| format!("--{key} needs a value"))?;
+        opts.insert(key.to_string(), val.clone());
+        i += 2;
     }
+    Ok((pos, opts))
+}
+
+fn run() -> Result<String, Box<dyn std::error::Error>> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (pos, opts) = parse_args(&args)?;
     let get_usize = |key: &str, default: usize| -> Result<usize, String> {
         opts.get(key)
             .map(|v| v.parse().map_err(|_| format!("bad --{key}")))
@@ -296,105 +333,63 @@ fn run() -> Result<String, Box<dyn std::error::Error>> {
                 }
             })?)
         }
-        Some("ablate-mttkrp") => {
-            let nnz = get_usize("nnz", 1_000_000)?;
-            let rank = get_usize("rank", 16)?;
-            let reps = get_usize("reps", 3)?;
-            // Without --threads, a single sweep at the ambient pool size.
-            let threads: Vec<usize> = match opts.get("threads") {
-                Some(v) => v
-                    .split(',')
-                    .map(|t| t.parse().map_err(|_| "bad --threads"))
-                    .collect::<Result<_, _>>()?,
-                None => Vec::new(),
+        Some("bench") => {
+            let [_, name] = &pos[..] else {
+                return Err(
+                    "usage: tenbench bench <mttkrp-sched|simd|convert|scale|obs-overhead> [options]"
+                        .into(),
+                );
             };
-            Ok(cli::with_obs(&obs_opts, || {
-                cli::ablate_mttkrp(
-                    opts.get("dataset").map(String::as_str).unwrap_or("s4"),
-                    nnz,
-                    rank,
-                    block_bits,
-                    reps,
-                    &threads,
-                    opts.get("out").map(PathBuf::from).as_deref(),
-                    &supervisor_cfg(),
-                )
-            })?)
-        }
-        Some("ablate-simd") => {
-            let nnz = get_usize("nnz", 200_000)?;
-            let reps = get_usize("reps", 3)?;
-            let ranks: Vec<usize> = opts
-                .get("ranks")
-                .map(String::as_str)
-                .unwrap_or("4,8,16")
-                .split(',')
-                .map(|t| t.parse().map_err(|_| "bad --ranks"))
-                .collect::<Result<_, _>>()?;
-            let min_speedup: Option<f64> = opts
-                .get("min-speedup")
-                .map(|v| v.parse().map_err(|_| "bad --min-speedup".to_string()))
-                .transpose()?;
-            Ok(cli::with_obs(&obs_opts, || {
-                cli::ablate_simd(
-                    opts.get("dataset").map(String::as_str).unwrap_or("s4"),
-                    nnz,
-                    &ranks,
-                    block_bits,
-                    reps,
-                    opts.get("out").map(PathBuf::from).as_deref(),
-                    min_speedup,
-                )
-            })?)
-        }
-        Some("convert-bench") => {
-            let threads: Vec<usize> = opts
-                .get("threads")
-                .map(String::as_str)
-                .unwrap_or("1,2,4,8")
-                .split(',')
-                .map(|t| t.parse().map_err(|_| "bad --threads"))
-                .collect::<Result<_, _>>()?;
-            let min_speedup: Option<f64> = opts
-                .get("min-speedup")
-                .map(|v| v.parse().map_err(|_| "bad --min-speedup".to_string()))
-                .transpose()?;
-            let nnz = get_usize("nnz", 1_000_000)?;
-            let reps = get_usize("reps", 3)?;
-            Ok(cli::with_obs(&obs_opts, || {
-                cli::convert_bench(
-                    opts.get("dataset").map(String::as_str).unwrap_or("s4"),
-                    nnz,
-                    block_bits,
-                    &threads,
-                    reps,
-                    opts.get("out").map(PathBuf::from).as_deref(),
-                    min_speedup,
-                )
-            })?)
-        }
-        Some("scale-bench") => {
-            let threads: Vec<usize> = opts
-                .get("threads")
-                .map(String::as_str)
-                .unwrap_or("1,2,4,8")
-                .split(',')
-                .map(|t| t.parse().map_err(|_| "bad --threads"))
-                .collect::<Result<_, _>>()?;
-            let sb = cli::ScaleBenchOpts {
+            let list = |key: &str, default: &str| -> Result<Vec<usize>, String> {
+                let v = opts.get(key).map(String::as_str).unwrap_or(default);
+                if v.is_empty() {
+                    return Ok(Vec::new());
+                }
+                v.split(',')
+                    .map(|t| t.parse().map_err(|_| format!("bad --{key}")))
+                    .collect()
+            };
+            // Per-suite defaults: (suite, nnz, pool sizes).
+            let (suite, nnz, threads) = match name.as_str() {
+                "mttkrp-sched" => (cli::BenchSuite::MttkrpSched, 1_000_000, ""),
+                "simd" => (
+                    cli::BenchSuite::Simd {
+                        ranks: list("ranks", "4,8,16")?,
+                    },
+                    200_000,
+                    "",
+                ),
+                "convert" => (cli::BenchSuite::Convert, 1_000_000, "1,2,4,8"),
+                "scale" => (cli::BenchSuite::Scale, 1_000_000, "1,2,4,8"),
+                "obs-overhead" => (
+                    cli::BenchSuite::ObsOverhead {
+                        rounds: get_usize("rounds", 3)?,
+                    },
+                    200_000,
+                    "1,2,4",
+                ),
+                other => return Err(format!("unknown bench suite {other:?}").into()),
+            };
+            let args = cli::BenchArgs {
                 dataset: opts
                     .get("dataset")
                     .cloned()
                     .unwrap_or_else(|| "s4".to_string()),
-                nnz: get_usize("nnz", 1_000_000)?,
+                nnz: get_usize("nnz", nnz)?,
                 rank: get_usize("rank", 16)?,
                 block_bits,
-                threads,
                 reps: get_usize("reps", 3)?,
-                out_json: opts.get("out").map(PathBuf::from),
+                threads: list("threads", threads)?,
+                out: opts.get("out").map(PathBuf::from),
                 floors: opts.get("floors").map(PathBuf::from),
             };
-            Ok(cli::with_obs(&obs_opts, || cli::scale_bench(&sb))?)
+            let run = || cli::bench(&suite, &args, &supervisor_cfg());
+            // The overhead suite runs its own captures.
+            if matches!(suite, cli::BenchSuite::ObsOverhead { .. }) {
+                Ok(run()?)
+            } else {
+                Ok(cli::with_obs(&obs_opts, run)?)
+            }
         }
         Some("verify") => {
             let [_, input] = &pos[..] else {
@@ -418,30 +413,6 @@ fn run() -> Result<String, Box<dyn std::error::Error>> {
             };
             Ok(cli::report(&PathBuf::from(input))?)
         }
-        Some("obs-overhead") => {
-            let threads: Vec<usize> = opts
-                .get("threads")
-                .map(String::as_str)
-                .unwrap_or("1,2,4")
-                .split(',')
-                .map(|t| t.parse().map_err(|_| "bad --threads"))
-                .collect::<Result<_, _>>()?;
-            let max_overhead_pct: Option<f64> = opts
-                .get("max-overhead-pct")
-                .map(|v| v.parse().map_err(|_| "bad --max-overhead-pct".to_string()))
-                .transpose()?;
-            Ok(cli::obs_overhead(
-                opts.get("dataset").map(String::as_str).unwrap_or("s4"),
-                get_usize("nnz", 200_000)?,
-                get_usize("rank", 16)?,
-                block_bits,
-                get_usize("reps", 3)?,
-                &threads,
-                get_usize("rounds", 3)?,
-                opts.get("out").map(PathBuf::from).as_deref(),
-                max_overhead_pct,
-            )?)
-        }
         Some("serve") => {
             let serve_cfg = serve_config(&get_usize, block_bits, opts.get("layout").map(String::as_str))?;
             Ok(cli::serve_demo(
@@ -454,15 +425,6 @@ fn run() -> Result<String, Box<dyn std::error::Error>> {
         }
         Some("stress") => {
             let serve_cfg = serve_config(&get_usize, block_bits, opts.get("layout").map(String::as_str))?;
-            let max_p99_ms: Option<f64> = opts
-                .get("max-p99-ms")
-                .map(|v| v.parse().map_err(|_| "bad --max-p99-ms".to_string()))
-                .transpose()?;
-            let min_hit_ratio: f64 = opts
-                .get("min-hit-ratio")
-                .map(|v| v.parse().map_err(|_| "bad --min-hit-ratio".to_string()))
-                .transpose()?
-                .unwrap_or(0.5);
             let alpha: f64 = opts
                 .get("alpha")
                 .map(|v| v.parse().map_err(|_| "bad --alpha".to_string()))
@@ -482,9 +444,8 @@ fn run() -> Result<String, Box<dyn std::error::Error>> {
                 alpha,
                 rank: get_usize("rank", 16)?,
                 deadline_ms: get_usize("deadline-ms", 0)? as u64,
-                max_p99_ms,
-                min_hit_ratio,
                 out_json: opts.get("out").map(PathBuf::from),
+                floors: opts.get("floors").map(PathBuf::from),
             };
             if opts.contains_key("net") {
                 let net_opts = cli::NetStressOpts {
@@ -535,6 +496,43 @@ fn run() -> Result<String, Box<dyn std::error::Error>> {
             };
             Ok(cli::chaos(&chaos_opts)?)
         }
-        _ => Err("usage: tenbench <convert|stats|generate|kernel|ablate-mttkrp|ablate-simd|convert-bench|scale-bench|verify|report|obs-overhead|serve|stress|chaos> ... (see the module docs)".into()),
+        _ => Err("usage: tenbench <convert|stats|generate|kernel|bench|verify|report|serve|stress|chaos> ... (see the module docs)".into()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<(Vec<String>, HashMap<String, String>), String> {
+        parse_args(
+            &line
+                .split_whitespace()
+                .map(String::from)
+                .collect::<Vec<_>>(),
+        )
+    }
+
+    #[test]
+    fn parses_positionals_options_and_switches() {
+        let (pos, opts) = parse("bench scale --threads 1,2 --profile").unwrap();
+        assert_eq!(pos, ["bench", "scale"]);
+        assert_eq!(opts["threads"], "1,2");
+        assert_eq!(opts["profile"], "on");
+        assert!(parse("bench scale --threads")
+            .unwrap_err()
+            .contains("needs a value"));
+    }
+
+    #[test]
+    fn unknown_and_retired_options_are_errors() {
+        let err = parse("bench convert --min-speedup 1.5").unwrap_err();
+        assert!(err.contains("--min-speedup was removed"), "{err}");
+        assert!(err.contains("--floors ci/floors.txt"), "{err}");
+        for flag in RETIRED_GATES {
+            assert!(parse(&format!("stress --{flag} 1")).is_err(), "{flag}");
+        }
+        let err = parse("bench scale --thread 4").unwrap_err();
+        assert_eq!(err, "unknown option --thread");
     }
 }

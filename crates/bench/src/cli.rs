@@ -24,8 +24,11 @@ use tenbench_core::shape::Shape;
 use tenbench_gen::zipf::ZipfSampler;
 use tenbench_gen::{KroneckerGenerator, PowerLawGenerator, TensorStats};
 
+use tenbench_obs::json::Obj;
+
 use crate::format::{fint, fnum, TextTable};
-use crate::suite::{make_factors, make_partner, time_avg};
+use crate::gate;
+use crate::suite::{make_factors, make_partner, time_cell, time_prepared};
 use crate::supervisor::{self, RunReport, SupervisorConfig, Trial};
 
 /// CLI errors: anything the underlying crates report, plus usage problems.
@@ -296,26 +299,30 @@ pub fn run_kernel_on(
             let t = if hicoo {
                 let hx = HicooTensor::from_coo(x, block_bits)?;
                 let hy = HicooTensor::from_coo(&y, block_bits)?;
-                time_avg(reps, || {
+                time_cell(reps, || {
                     std::hint::black_box(tew::tew_hicoo_same_pattern(&hx, &hy, EwOp::Add).unwrap());
                 })
+                .secs
             } else {
-                time_avg(reps, || {
+                time_cell(reps, || {
                     std::hint::black_box(tew::tew_same_pattern(x, &y, EwOp::Add).unwrap());
                 })
+                .secs
             };
             (Kernel::Tew, Kernel::Tew.flops(order, m, 0), t)
         }
         "ts" => {
             let t = if hicoo {
                 let hx = HicooTensor::from_coo(x, block_bits)?;
-                time_avg(reps, || {
+                time_cell(reps, || {
                     std::hint::black_box(ts::ts_hicoo(&hx, 1.01, EwOp::Mul).unwrap());
                 })
+                .secs
             } else {
-                time_avg(reps, || {
+                time_cell(reps, || {
                     std::hint::black_box(ts::ts(x, 1.01, EwOp::Mul).unwrap());
                 })
+                .secs
             };
             (Kernel::Ts, Kernel::Ts.flops(order, m, 0), t)
         }
@@ -324,23 +331,26 @@ pub fn run_kernel_on(
             let t = if hicoo && strategy == "scheduled" {
                 let hx = HicooTensor::from_coo(x, block_bits)?;
                 let _ = tenbench_core::sched::complement_schedule(&hx, mode); // untimed build
-                time_avg(reps, || {
+                time_cell(reps, || {
                     std::hint::black_box(ttv::ttv_hicoo_sched(&hx, &v, mode).unwrap());
                 })
+                .secs
             } else if hicoo {
                 let g = tenbench_core::hicoo::GHicooTensor::from_coo_for_mode(x, block_bits, mode)?;
                 let fp = g.fibers(mode)?;
-                time_avg(reps, || {
+                time_cell(reps, || {
                     std::hint::black_box(ttv::ttv_ghicoo(&g, &fp, &v, Default::default()).unwrap());
                 })
+                .secs
             } else {
                 let mut xm = x.clone();
                 let fp = xm.fibers(mode)?;
-                time_avg(reps, || {
+                time_cell(reps, || {
                     std::hint::black_box(
                         ttv::ttv_prepared(&xm, &fp, &v, Default::default()).unwrap(),
                     );
                 })
+                .secs
             };
             (Kernel::Ttv, Kernel::Ttv.flops(order, m, 0), t)
         }
@@ -349,23 +359,26 @@ pub fn run_kernel_on(
             let t = if hicoo && strategy == "scheduled" {
                 let hx = HicooTensor::from_coo(x, block_bits)?;
                 let _ = tenbench_core::sched::complement_schedule(&hx, mode); // untimed build
-                time_avg(reps, || {
+                time_cell(reps, || {
                     std::hint::black_box(ttm::ttm_hicoo_sched(&hx, &u, mode).unwrap());
                 })
+                .secs
             } else if hicoo {
                 let g = tenbench_core::hicoo::GHicooTensor::from_coo_for_mode(x, block_bits, mode)?;
                 let fp = g.fibers(mode)?;
-                time_avg(reps, || {
+                time_cell(reps, || {
                     std::hint::black_box(ttm::ttm_ghicoo(&g, &fp, &u, Default::default()).unwrap());
                 })
+                .secs
             } else {
                 let mut xm = x.clone();
                 let fp = xm.fibers(mode)?;
-                time_avg(reps, || {
+                time_cell(reps, || {
                     std::hint::black_box(
                         ttm::ttm_prepared(&xm, &fp, &u, Default::default()).unwrap(),
                     );
                 })
+                .secs
             };
             (Kernel::Ttm, Kernel::Ttm.flops(order, m, rank as u64), t)
         }
@@ -385,16 +398,18 @@ pub fn run_kernel_on(
                     }
                     _ => Box::new(|| mttkrp::mttkrp_hicoo(&hx, &frefs, mode).unwrap()),
                 };
-                time_avg(reps, || {
+                time_cell(reps, || {
                     std::hint::black_box(run());
                 })
+                .secs
             } else {
                 if strat == mttkrp::MttkrpStrategy::Scheduled {
                     let _ = tenbench_core::sched::row_schedule(x, mode); // untimed build
                 }
-                time_avg(reps, || {
+                time_cell(reps, || {
                     std::hint::black_box(mttkrp::mttkrp_with(x, &frefs, mode, strat).unwrap());
                 })
+                .secs
             };
             (
                 Kernel::Mttkrp,
@@ -438,8 +453,7 @@ pub fn run_kernel_all(
     let x = match input {
         Some(p) => load_tensor(p)?,
         None => {
-            let d = tenbench_gen::registry::find(dataset)
-                .ok_or_else(|| CliError::Usage(format!("unknown dataset id {dataset:?}")))?;
+            let d = find_dataset(dataset)?;
             d.generate_with(nnz, d.default_seed())
         }
     };
@@ -459,7 +473,7 @@ pub fn run_kernel_all(
 /// supervision (watchdog timeout, panic isolation, strategy fallback,
 /// output validation) and report the structured outcome alongside the
 /// timing. The reported GFLOPS uses the kernel-only seconds measured
-/// inside the accepted attempt (the `time_avg` batch), never the attempt
+/// inside the accepted attempt (the `time_cell` batch), never the attempt
 /// wall time, which additionally covers a warmup run and thread handoff;
 /// validation time is reported separately as `validate_s`.
 #[allow(clippy::too_many_arguments)]
@@ -532,11 +546,12 @@ pub fn run_kernel_supervised_on(
                 Trial::new("same_pattern", move || {
                     let out = tew::tew_hicoo_same_pattern(&hx, &hy, EwOp::Add)
                         .map_err(|e| e.to_string())?;
-                    let secs = time_avg(reps, || {
+                    let secs = time_cell(reps, || {
                         std::hint::black_box(
                             tew::tew_hicoo_same_pattern(&hx, &hy, EwOp::Add).unwrap(),
                         );
-                    });
+                    })
+                    .secs;
                     Ok((secs, out.nonfinite_count()))
                 })
             } else {
@@ -545,9 +560,10 @@ pub fn run_kernel_supervised_on(
                 Trial::new("same_pattern", move || {
                     let out =
                         tew::tew_same_pattern(&xa, &ya, EwOp::Add).map_err(|e| e.to_string())?;
-                    let secs = time_avg(reps, || {
+                    let secs = time_cell(reps, || {
                         std::hint::black_box(tew::tew_same_pattern(&xa, &ya, EwOp::Add).unwrap());
-                    });
+                    })
+                    .secs;
                     Ok((secs, out.nonfinite_count()))
                 })
             };
@@ -559,18 +575,20 @@ pub fn run_kernel_supervised_on(
                 let hx = Arc::new(HicooTensor::from_coo(x, block_bits)?);
                 Trial::new("default", move || {
                     let out = ts::ts_hicoo(&hx, 1.01, EwOp::Mul).map_err(|e| e.to_string())?;
-                    let secs = time_avg(reps, || {
+                    let secs = time_cell(reps, || {
                         std::hint::black_box(ts::ts_hicoo(&hx, 1.01, EwOp::Mul).unwrap());
-                    });
+                    })
+                    .secs;
                     Ok((secs, out.nonfinite_count()))
                 })
             } else {
                 let xa = xa.clone();
                 Trial::new("default", move || {
                     let out = ts::ts(&xa, 1.01, EwOp::Mul).map_err(|e| e.to_string())?;
-                    let secs = time_avg(reps, || {
+                    let secs = time_cell(reps, || {
                         std::hint::black_box(ts::ts(&xa, 1.01, EwOp::Mul).unwrap());
-                    });
+                    })
+                    .secs;
                     Ok((secs, out.nonfinite_count()))
                 })
             };
@@ -586,9 +604,10 @@ pub fn run_kernel_supervised_on(
                     let v = v.clone();
                     Trial::new("scheduled", move || {
                         let out = ttv::ttv_hicoo_sched(&hx, &v, mode).map_err(|e| e.to_string())?;
-                        let secs = time_avg(reps, || {
+                        let secs = time_cell(reps, || {
                             std::hint::black_box(ttv::ttv_hicoo_sched(&hx, &v, mode).unwrap());
-                        });
+                        })
+                        .secs;
                         Ok((secs, out.nonfinite_count()))
                     })
                 };
@@ -603,11 +622,12 @@ pub fn run_kernel_supervised_on(
                         let fp = g.fibers(mode).map_err(|e| e.to_string())?;
                         let out = ttv::ttv_ghicoo(&g, &fp, &v, Default::default())
                             .map_err(|e| e.to_string())?;
-                        let secs = time_avg(reps, || {
+                        let secs = time_cell(reps, || {
                             std::hint::black_box(
                                 ttv::ttv_ghicoo(&g, &fp, &v, Default::default()).unwrap(),
                             );
-                        });
+                        })
+                        .secs;
                         Ok((secs, out.nonfinite_count()))
                     })
                 };
@@ -624,11 +644,12 @@ pub fn run_kernel_supervised_on(
                     let fp = xm.fibers(mode).map_err(|e| e.to_string())?;
                     let out = ttv::ttv_prepared(&xm, &fp, &v, Default::default())
                         .map_err(|e| e.to_string())?;
-                    let secs = time_avg(reps, || {
+                    let secs = time_cell(reps, || {
                         std::hint::black_box(
                             ttv::ttv_prepared(&xm, &fp, &v, Default::default()).unwrap(),
                         );
-                    });
+                    })
+                    .secs;
                     Ok((secs, out.nonfinite_count()))
                 })]
             };
@@ -648,9 +669,10 @@ pub fn run_kernel_supervised_on(
                     let u = u.clone();
                     Trial::new("scheduled", move || {
                         let out = ttm::ttm_hicoo_sched(&hx, &u, mode).map_err(|e| e.to_string())?;
-                        let secs = time_avg(reps, || {
+                        let secs = time_cell(reps, || {
                             std::hint::black_box(ttm::ttm_hicoo_sched(&hx, &u, mode).unwrap());
-                        });
+                        })
+                        .secs;
                         Ok((secs, count_bad(out.vals())))
                     })
                 };
@@ -665,11 +687,12 @@ pub fn run_kernel_supervised_on(
                         let fp = g.fibers(mode).map_err(|e| e.to_string())?;
                         let out = ttm::ttm_ghicoo(&g, &fp, &u, Default::default())
                             .map_err(|e| e.to_string())?;
-                        let secs = time_avg(reps, || {
+                        let secs = time_cell(reps, || {
                             std::hint::black_box(
                                 ttm::ttm_ghicoo(&g, &fp, &u, Default::default()).unwrap(),
                             );
-                        });
+                        })
+                        .secs;
                         Ok((secs, count_bad(out.vals())))
                     })
                 };
@@ -686,11 +709,12 @@ pub fn run_kernel_supervised_on(
                     let fp = xm.fibers(mode).map_err(|e| e.to_string())?;
                     let out = ttm::ttm_prepared(&xm, &fp, &u, Default::default())
                         .map_err(|e| e.to_string())?;
-                    let secs = time_avg(reps, || {
+                    let secs = time_cell(reps, || {
                         std::hint::black_box(
                             ttm::ttm_prepared(&xm, &fp, &u, Default::default()).unwrap(),
                         );
-                    });
+                    })
+                    .secs;
                     Ok((secs, count_bad(out.vals())))
                 })]
             };
@@ -900,160 +924,204 @@ pub fn verify(
     Ok(out)
 }
 
-/// `ablate-mttkrp`: measure every Mttkrp strategy (COO and HiCOO, atomic
-/// and scheduled) on a generated dataset, render a table, and optionally
-/// write the rows as JSON for committed benchmark artifacts.
-#[allow(clippy::too_many_arguments)]
-pub fn ablate_mttkrp(
-    dataset: &str,
-    nnz: usize,
-    rank: usize,
-    block_bits: u8,
-    reps: usize,
-    threads_list: &[usize],
-    out_json: Option<&Path>,
-    cfg: &SupervisorConfig,
-) -> CliResult<String> {
-    let d = tenbench_gen::registry::find(dataset)
-        .ok_or_else(|| CliError::Usage(format!("unknown dataset id {dataset:?}")))?;
-    let x = d.generate_with(nnz, d.default_seed());
+/// The measurement suites behind `tenbench bench <suite>`.
+#[derive(Debug, Clone)]
+pub enum BenchSuite {
+    /// Every Mttkrp strategy, supervised and checksum-validated
+    /// (`BENCH_mttkrp_sched.json`).
+    MttkrpSched,
+    /// Scalar vs Simd on every kernel × format cell at each rank, placed
+    /// on the host's ERT roofline (`BENCH_simd.json`).
+    Simd {
+        /// Factor ranks of the ranked kernels.
+        ranks: Vec<usize>,
+    },
+    /// The COO→HiCOO conversion pipeline: a sequential comparator-sort
+    /// baseline, then the radix pipeline per thread count
+    /// (`BENCH_convert.json`).
+    Convert,
+    /// Self-speedup curves of every kernel and the conversion pipeline,
+    /// with pool telemetry (`BENCH_scaling.json`).
+    Scale,
+    /// Traced vs untraced wall time of the whole CPU suite
+    /// (`BENCH_obs_overhead.json`).
+    ObsOverhead {
+        /// Interleaved untraced/traced rounds; each side keeps its best.
+        rounds: usize,
+    },
+}
 
-    // One supervised sweep per requested pool size; an empty list keeps
-    // the single-sweep behavior at the ambient pool size.
-    let sweeps: Vec<Option<usize>> = if threads_list.is_empty() {
-        vec![None]
-    } else {
-        threads_list.iter().map(|&t| Some(t)).collect()
-    };
-
-    let mut out = format!(
-        "Mttkrp scheduling ablation on {dataset} ({}, {} nnz, R = {rank}, B = {})\n",
-        x.shape(),
-        fint(x.nnz() as u64),
-        1u32 << block_bits,
-    );
-    let mut measured: Vec<(usize, Vec<crate::suite::AblationRow>)> = Vec::new();
-    for threads in sweeps {
-        let rows = crate::suite::run_mttkrp_ablation_supervised_at(
-            &x, rank, block_bits, reps, threads, cfg,
-        );
-        let shown = threads.unwrap_or_else(tenbench_core::par::current_threads);
-        let atomic_hicoo = rows
-            .iter()
-            .find(|r| r.name == "hicoo/atomic")
-            .map(|r| r.time_s)
-            .unwrap_or(0.0);
-        let atomic_coo = rows
-            .iter()
-            .find(|r| r.name == "coo/atomic")
-            .map(|r| r.time_s)
-            .unwrap_or(0.0);
-        let speedup = |r: &crate::suite::AblationRow| -> String {
-            let base = if r.name.starts_with("hicoo") {
-                atomic_hicoo
-            } else {
-                atomic_coo
-            };
-            let s = base / r.time_s;
-            if s.is_finite() {
-                format!("{s:.2}x")
-            } else {
-                "-".to_string()
-            }
-        };
-        let mut tab = TextTable::new(["Strategy", "Time (s)", "Melem/s", "vs atomic", "Status"]);
-        for r in &rows {
-            tab.row([
-                r.name.clone(),
-                if r.time_s.is_finite() {
-                    fnum(r.time_s)
-                } else {
-                    "-".to_string()
-                },
-                fnum(r.melem_s),
-                speedup(r),
-                r.status.to_string(),
-            ]);
+impl BenchSuite {
+    /// The suite's name on the command line, in artifacts, and in floor
+    /// files.
+    pub fn name(&self) -> &'static str {
+        match self {
+            BenchSuite::MttkrpSched => "mttkrp-sched",
+            BenchSuite::Simd { .. } => "simd",
+            BenchSuite::Convert => "convert",
+            BenchSuite::Scale => "scale",
+            BenchSuite::ObsOverhead { .. } => "obs-overhead",
         }
-        out.push_str(&format!("-- {shown} threads --\n"));
-        out.push_str(&tab.render());
-        measured.push((shown, rows));
     }
+}
 
-    if let Some(path) = out_json {
-        let mut json = String::from("{\n");
-        json.push_str(&format!(
-            "  \"dataset\": \"{dataset}\",\n  \"shape\": \"{}\",\n  \"nnz\": {},\n  \"rank\": {rank},\n  \"block_bits\": {block_bits},\n  \"reps\": {reps},\n  \"host_cpus\": {},\n",
-            x.shape(),
-            x.nnz(),
-            host_cpus(),
+/// Arguments shared by every `bench` suite.
+#[derive(Debug, Clone)]
+pub struct BenchArgs {
+    /// Dataset registry id to generate.
+    pub dataset: String,
+    /// Target nonzero count.
+    pub nnz: usize,
+    /// Factor-matrix rank for Ttm/Mttkrp (the SIMD suite sweeps its own).
+    pub rank: usize,
+    /// HiCOO block bits.
+    pub block_bits: u8,
+    /// Timed repetitions per cell.
+    pub reps: usize,
+    /// Pool sizes to measure at. Zero is rejected; the list is sorted and
+    /// deduplicated. Empty means one run at the ambient pool size.
+    pub threads: Vec<usize>,
+    /// Where to write the suite's `BENCH_*.json` artifact, if anywhere.
+    pub out: Option<PathBuf>,
+    /// Floor file whose lines for this suite gate the run.
+    pub floors: Option<PathBuf>,
+}
+
+/// What one suite run produced: the report text, the artifact's config
+/// members and rows, and the named metrics its floors gate on.
+struct SuiteRun {
+    text: String,
+    config: Obj,
+    rows: Vec<String>,
+    metrics: Vec<(String, f64)>,
+}
+
+/// `bench <suite>`: generate the dataset, run the suite, render its table,
+/// write its artifact, and enforce its floors. The floor file is read
+/// before anything is measured, so a malformed one fails fast.
+pub fn bench(suite: &BenchSuite, args: &BenchArgs, cfg: &SupervisorConfig) -> CliResult<String> {
+    let floors = read_floors(args.floors.as_deref(), suite.name())?;
+    let mut threads = args.threads.clone();
+    threads.sort_unstable();
+    threads.dedup();
+    if threads.first() == Some(&0) {
+        return Err(CliError::Usage(
+            "--threads counts must be positive".to_string(),
         ));
-        json.push_str("  \"sweeps\": [\n");
-        for (si, (threads, rows)) in measured.iter().enumerate() {
-            let atomic_hicoo = rows
-                .iter()
-                .find(|r| r.name == "hicoo/atomic")
-                .map(|r| r.time_s)
-                .unwrap_or(0.0);
-            let atomic_coo = rows
-                .iter()
-                .find(|r| r.name == "coo/atomic")
-                .map(|r| r.time_s)
-                .unwrap_or(0.0);
-            json.push_str(&format!("    {{\"threads\": {threads}, \"rows\": [\n"));
-            for (i, r) in rows.iter().enumerate() {
-                let base = if r.name.starts_with("hicoo") {
-                    atomic_hicoo
-                } else {
-                    atomic_coo
-                };
-                let s = base / r.time_s;
-                json.push_str(&format!(
-                    "      {{\"name\": \"{}\", \"time_s\": {}, \"melem_s\": {}, \"speedup_vs_atomic\": {}, \"status\": \"{}\"}}{}\n",
-                    r.name,
-                    obs::json::json_f64(r.time_s),
-                    obs::json::json_f64_fixed(r.melem_s, 3),
-                    obs::json::json_f64_fixed(s, 3),
-                    r.status.label(),
-                    if i + 1 < rows.len() { "," } else { "" }
-                ));
-            }
-            json.push_str(&format!(
-                "    ]}}{}\n",
-                if si + 1 < measured.len() { "," } else { "" }
+    }
+    let ambient = threads.is_empty();
+    if let BenchSuite::Simd { ranks } = suite {
+        if ranks.is_empty() {
+            return Err(CliError::Usage("--ranks list is empty".to_string()));
+        }
+        if !ambient {
+            return Err(CliError::Usage(
+                "simd runs at the ambient pool size and takes no --threads".to_string(),
             ));
         }
-        json.push_str("  ]\n}\n");
-        std::fs::write(path, &json)?;
-        out.push_str(&format!("wrote {}\n", path.display()));
     }
+    if ambient {
+        threads.push(tenbench_core::par::current_threads());
+    }
+    let d = find_dataset(&args.dataset)?;
+    let x = d.generate_with(args.nnz, d.default_seed());
+    let config = Obj::new()
+        .str("dataset", &args.dataset)
+        .str("shape", &x.shape().to_string())
+        .int("nnz", x.nnz() as u64)
+        .int("rank", args.rank as u64)
+        .int("block_bits", u64::from(args.block_bits))
+        .int("reps", args.reps as u64)
+        .arr("threads", threads.iter().map(usize::to_string));
+    let run = match suite {
+        BenchSuite::MttkrpSched => bench_mttkrp_sched(&x, args, &threads, ambient, cfg, config),
+        BenchSuite::Simd { ranks } => bench_simd(&x, args, ranks, config),
+        BenchSuite::Convert => bench_convert(&x, args, &threads, config)?,
+        BenchSuite::Scale => bench_scale(&x, args, &threads, config)?,
+        BenchSuite::ObsOverhead { rounds } => {
+            bench_obs_overhead(&x, args, &threads, *rounds, config)
+        }
+    };
+    let mut out = run.text;
+    if let Some(path) = &args.out {
+        out.push_str(&write_artifact(path, suite.name(), run.config, run.rows)?);
+    }
+    out.push_str(&enforce(suite.name(), &floors, &run.metrics)?);
     Ok(out)
 }
 
-/// `ablate-simd`: measure every kernel cell (COO, HiCOO, and the
-/// value-blocked HiCOO layout where it exists) under the Scalar and Simd
-/// backends on a generated dataset, annotate each side against the host's
-/// ERT Roofline, render the pairs as a table, and optionally write
-/// `BENCH_simd.json`. With `min_speedup`, the Simd-vs-Scalar ratio of the
-/// scheduled HiCOO Mttkrp cell at the largest measured rank is enforced as
-/// a CI regression gate (the floor lives in `ci/simd-floor.txt`).
-pub fn ablate_simd(
-    dataset: &str,
-    nnz: usize,
-    ranks: &[usize],
-    block_bits: u8,
-    reps: usize,
-    out_json: Option<&Path>,
-    min_speedup: Option<f64>,
-) -> CliResult<String> {
-    use tenbench_core::simd::{self, KernelBackend};
-
-    if ranks.is_empty() {
-        return Err(CliError::Usage("--ranks list is empty".to_string()));
+/// Every Mttkrp strategy per pool size; metrics `<strategy>_vs_atomic`,
+/// the speedup over the same format's atomic kernel at the largest pool.
+fn bench_mttkrp_sched(
+    x: &CooTensor<f32>,
+    a: &BenchArgs,
+    threads: &[usize],
+    ambient: bool,
+    cfg: &SupervisorConfig,
+    config: Obj,
+) -> SuiteRun {
+    let mut text = format!(
+        "Mttkrp scheduling ablation on {} ({}, {} nnz, R = {}, B = {})\n",
+        a.dataset,
+        x.shape(),
+        fint(x.nnz() as u64),
+        a.rank,
+        1u32 << a.block_bits,
+    );
+    let (mut rows, mut metrics) = (Vec::new(), Vec::new());
+    for (i, &t) in threads.iter().enumerate() {
+        let pool = (!ambient).then_some(t);
+        let ablation =
+            crate::suite::run_mttkrp_ablation(x, a.rank, a.block_bits, a.reps, pool, cfg);
+        let atomic_s = |format: &str| {
+            ablation
+                .iter()
+                .find(|r| r.name == format!("{format}/atomic"))
+                .map_or(0.0, |r| r.time_s)
+        };
+        let mut tab = TextTable::new(["Strategy", "Time (s)", "Melem/s", "vs atomic", "Status"]);
+        for r in &ablation {
+            let format = r.name.split('/').next().unwrap_or_default();
+            let speedup = atomic_s(format) / r.time_s;
+            let shown = |v: f64, s: String| if v.is_finite() { s } else { "-".to_string() };
+            tab.row([
+                r.name.clone(),
+                shown(r.time_s, fnum(r.time_s)),
+                fnum(r.melem_s),
+                shown(speedup, format!("{speedup:.2}x")),
+                r.status.to_string(),
+            ]);
+            rows.push(
+                Obj::new()
+                    .int("threads", t as u64)
+                    .str("name", &r.name)
+                    .num("time_s", r.time_s)
+                    .fixed("melem_s", r.melem_s, 3)
+                    .fixed("speedup_vs_atomic", speedup, 3)
+                    .str("status", r.status.label())
+                    .build(),
+            );
+            if i + 1 == threads.len() {
+                metrics.push((format!("{}_vs_atomic", r.name.replace('/', "_")), speedup));
+            }
+        }
+        text.push_str(&format!("-- {t} threads --\n"));
+        text.push_str(&tab.render());
     }
-    let d = tenbench_gen::registry::find(dataset)
-        .ok_or_else(|| CliError::Usage(format!("unknown dataset id {dataset:?}")))?;
-    let x = d.generate_with(nnz, d.default_seed());
+    SuiteRun {
+        text,
+        config,
+        rows,
+        metrics,
+    }
+}
+
+/// Scalar vs Simd per kernel cell (best call time of each side); metric
+/// `mttkrp_hicoo_sched_r<R>`, the Simd speedup of the scheduled HiCOO
+/// Mttkrp cell at rank R.
+fn bench_simd(x: &CooTensor<f32>, a: &BenchArgs, ranks: &[usize], config: Obj) -> SuiteRun {
+    use crate::suite::SimdAblationRow;
+    use tenbench_core::simd::{self, KernelBackend};
 
     // Real obtainable ceilings for the %-of-roofline columns: a quick ERT
     // sweep on this host, exactly as the harness figures do.
@@ -1063,34 +1131,15 @@ pub fn ablate_simd(
         ert_dram_gbs: ert.dram_gbs,
         peak_gflops: ert.peak_gflops,
     };
+    let cells = crate::suite::run_simd_ablation(x, &machine, ranks, a.block_bits, a.reps);
 
-    let rows = crate::suite::run_simd_ablation(&x, &machine, ranks, block_bits, reps);
-    // `run_simd_ablation` emits scalar-then-simd per cell; re-pair them.
-    let pairs: Vec<(
-        &crate::suite::SimdAblationRow,
-        &crate::suite::SimdAblationRow,
-    )> = rows
-        .chunks(2)
-        .map(|c| {
-            debug_assert_eq!(c[0].backend, KernelBackend::Scalar);
-            debug_assert_eq!(c[1].backend, KernelBackend::Simd);
-            (&c[0], &c[1])
-        })
-        .collect();
-    let speedup = |s: &crate::suite::SimdAblationRow, v: &crate::suite::SimdAblationRow| -> f64 {
-        if s.time_s.is_finite() && v.time_s > 0.0 {
-            s.time_s / v.time_s
-        } else {
-            f64::NAN
-        }
-    };
-
-    let mut out = format!(
-        "SIMD backend ablation on {dataset} ({}, {} nnz, B = {}, ranks {:?})\n\
+    let mut text = format!(
+        "SIMD backend ablation on {} ({}, {} nnz, B = {}, ranks {:?})\n\
          host: {} logical CPUs, avx2 {}, ERT {} GB/s DRAM / {} GFLOPS peak\n",
+        a.dataset,
         x.shape(),
         fint(x.nnz() as u64),
-        1u32 << block_bits,
+        1u32 << a.block_bits,
         ranks,
         host_cpus(),
         if simd::avx2_available() { "yes" } else { "no" },
@@ -1107,163 +1156,148 @@ pub fn ablate_simd(
         "Scalar %roof",
         "Simd %roof",
     ]);
-    for (s, v) in &pairs {
+    let side = |r: &SimdAblationRow| {
+        Obj::new()
+            .num("time_s", r.time_s)
+            .fixed("gflops", r.gflops, 4)
+            .fixed("ai", r.ai_measured, 4)
+            .fixed("pct_of_roof", r.pct_of_roof, 2)
+            .build()
+    };
+    let (mut rows, mut metrics) = (Vec::new(), Vec::new());
+    // `run_simd_ablation` emits scalar-then-simd per cell.
+    for pair in cells.chunks(2) {
+        let (s, v) = (&pair[0], &pair[1]);
+        debug_assert_eq!(
+            (s.backend, v.backend),
+            (KernelBackend::Scalar, KernelBackend::Simd)
+        );
+        let speedup = s.time_s / v.time_s;
         tab.row([
             s.kernel.name().to_string(),
             s.format.to_string(),
             s.rank.to_string(),
             fnum(s.time_s),
             fnum(v.time_s),
-            format!("{:.2}x", speedup(s, v)),
+            format!("{speedup:.2}x"),
             format!("{:.1}%", s.pct_of_roof),
             format!("{:.1}%", v.pct_of_roof),
         ]);
-    }
-    out.push_str(&tab.render());
-
-    if let Some(path) = out_json {
-        let mut json = String::from("{\n");
-        json.push_str(&format!(
-            "  \"dataset\": \"{dataset}\",\n  \"shape\": \"{}\",\n  \"nnz\": {},\n  \"ranks\": {:?},\n  \"block_bits\": {block_bits},\n  \"reps\": {reps},\n  \"host_cpus\": {},\n  \"avx2\": {},\n  \"ert_dram_gbs\": {},\n  \"ert_peak_gflops\": {},\n",
-            x.shape(),
-            x.nnz(),
-            ranks,
-            host_cpus(),
-            simd::avx2_available(),
-            obs::json::json_f64_fixed(machine.ert_dram_gbs, 3),
-            obs::json::json_f64_fixed(machine.peak_gflops, 3),
-        ));
-        json.push_str("  \"cells\": [\n");
-        for (i, (s, v)) in pairs.iter().enumerate() {
-            let side = |r: &crate::suite::SimdAblationRow| {
-                format!(
-                    "{{\"time_s\": {}, \"gflops\": {}, \"ai\": {}, \"pct_of_roof\": {}}}",
-                    obs::json::json_f64(r.time_s),
-                    obs::json::json_f64_fixed(r.gflops, 4),
-                    obs::json::json_f64_fixed(r.ai_measured, 4),
-                    obs::json::json_f64_fixed(r.pct_of_roof, 2),
-                )
-            };
-            json.push_str(&format!(
-                "    {{\"kernel\": \"{}\", \"format\": \"{}\", \"rank\": {}, \"scalar\": {}, \"simd\": {}, \"simd_speedup\": {}}}{}\n",
-                s.kernel.name(),
-                s.format,
-                s.rank,
-                side(s),
-                side(v),
-                obs::json::json_f64_fixed(speedup(s, v), 3),
-                if i + 1 < pairs.len() { "," } else { "" }
-            ));
+        rows.push(
+            Obj::new()
+                .str("kernel", s.kernel.name())
+                .str("format", s.format)
+                .int("rank", s.rank as u64)
+                .raw("scalar", side(s))
+                .raw("simd", side(v))
+                .fixed("simd_speedup", speedup, 3)
+                .build(),
+        );
+        if s.kernel == Kernel::Mttkrp && s.format == "HiCOO" {
+            metrics.push((format!("mttkrp_hicoo_sched_r{}", s.rank), speedup));
         }
-        json.push_str("  ]\n}\n");
-        std::fs::write(path, &json)?;
-        out.push_str(&format!("wrote {}\n", path.display()));
     }
-
-    if let Some(floor) = min_speedup {
-        let gate_rank = *ranks.iter().max().expect("ranks nonempty");
-        let (s, v) = pairs
-            .iter()
-            .find(|(s, _)| {
-                s.kernel == tenbench_core::kernels::Kernel::Mttkrp
-                    && s.format == "HiCOO"
-                    && s.rank == gate_rank
-            })
-            .ok_or_else(|| {
-                CliError::Usage("no scheduled HiCOO Mttkrp cell to gate on".to_string())
-            })?;
-        let got = speedup(s, v);
-        if got.is_nan() || got < floor {
-            return Err(CliError::Usage(format!(
-                "SIMD speedup regression: scheduled HiCOO Mttkrp at R = {gate_rank} is \
-                 {got:.2}x scalar, below the floor of {floor:.2}x"
-            )));
-        }
-        out.push_str(&format!(
-            "simd gate: mttkrp/HiCOO @ R={gate_rank} {got:.2}x >= {floor:.2}x ok\n"
-        ));
-    }
-    Ok(out)
-}
-
-/// One measured configuration of the conversion pipeline.
-struct ConvertRow {
-    algo: &'static str,
-    threads: usize,
-    sort_s: f64,
-    build_s: f64,
-}
-
-impl ConvertRow {
-    fn total_s(&self) -> f64 {
-        self.sort_s + self.build_s
+    text.push_str(&tab.render());
+    let config = config
+        .arr("ranks", ranks.iter().map(usize::to_string))
+        .fixed("ert_dram_gbs", machine.ert_dram_gbs, 3)
+        .fixed("ert_peak_gflops", machine.peak_gflops, 3);
+    SuiteRun {
+        text,
+        config,
+        rows,
+        metrics,
     }
 }
 
-/// `convert-bench`: measure the COO→HiCOO conversion pipeline (Morton sort
-/// then block build) across thread counts. The first row is the sequential
-/// comparator-sort baseline; the remaining rows run the parallel radix
-/// pipeline at each requested thread count. Optionally writes the rows as
-/// JSON (`BENCH_convert.json`) and enforces a minimum radix speedup at the
-/// highest thread count (the CI regression gate).
-pub fn convert_bench(
-    dataset: &str,
-    nnz: usize,
+/// A COO tensor and the HiCOO tensor built from it.
+type Converted = (CooTensor<f32>, HicooTensor<f32>);
+
+/// Sort `c` into Morton order with `algo`, then build HiCOO from it in
+/// place. Returns both tensors, so a caller can drop them outside its
+/// timed section, plus the sort and build seconds.
+fn convert_timed(
+    mut c: CooTensor<f32>,
     block_bits: u8,
-    threads_list: &[usize],
-    reps: usize,
-    out_json: Option<&Path>,
-    min_speedup: Option<f64>,
-) -> CliResult<String> {
-    let d = tenbench_gen::registry::find(dataset)
-        .ok_or_else(|| CliError::Usage(format!("unknown dataset id {dataset:?}")))?;
-    if threads_list.is_empty() {
-        return Err(CliError::Usage("--threads list is empty".to_string()));
-    }
-    let x = d.generate_with(nnz, d.default_seed());
-    let m = x.nnz();
+    algo: SortAlgo,
+) -> CliResult<(Converted, f64, f64)> {
+    let t0 = Instant::now();
+    c.sort_morton_with(block_bits, algo);
+    let sort_s = t0.elapsed().as_secs_f64();
+    let t1 = Instant::now();
+    // The internal re-sort is a no-op: the sort state already says
+    // Morton(block_bits), so this times the build alone.
+    let h = HicooTensor::from_coo_inplace(&mut c, block_bits)?;
+    std::hint::black_box(h.num_blocks());
+    Ok(((c, h), sort_s, t1.elapsed().as_secs_f64()))
+}
 
-    // Best-of-reps per configuration; each rep re-clones the (lex-sorted)
-    // generator output so both backends start from the identical order.
-    let measure = |threads: usize, algo: SortAlgo, label: &'static str| -> CliResult<ConvertRow> {
-        let mut best: Option<ConvertRow> = None;
-        for _ in 0..reps.max(1) {
-            let mut c = x.clone();
-            let (sort_s, build_s) = tenbench_core::par::with_threads(threads, || {
-                let t0 = Instant::now();
-                c.sort_morton_with(block_bits, algo);
-                let sort_s = t0.elapsed().as_secs_f64();
-                let t1 = Instant::now();
-                // The internal re-sort is a no-op: the sort state already
-                // says Morton(block_bits), so this times the build alone.
-                let r = HicooTensor::from_coo_inplace(&mut c, block_bits);
-                let build_s = t1.elapsed().as_secs_f64();
-                r.map(|h| {
-                    std::hint::black_box(h.num_blocks());
-                    (sort_s, build_s)
+/// The conversion pipeline: the sequential comparator baseline, then the
+/// radix pipeline at each pool size, each timed best-of-reps on a fresh
+/// copy of the (lex-sorted) generator output. Metric
+/// `convert_vs_comparator`: the radix speedup over the baseline at the
+/// largest pool size.
+fn bench_convert(
+    x: &CooTensor<f32>,
+    a: &BenchArgs,
+    threads: &[usize],
+    config: Obj,
+) -> CliResult<SuiteRun> {
+    struct Row {
+        algo: &'static str,
+        threads: usize,
+        sort_s: f64,
+        build_s: f64,
+        total_s: f64,
+    }
+    let measure = |threads: usize, algo: SortAlgo, label: &'static str| -> CliResult<Row> {
+        // The total is the core's best per-call time; it is split into
+        // sort and build in the ratio of their summed times over the timed
+        // calls (every call after the core's calibration warmup).
+        let (mut calls, mut sort_sum, mut build_sum) = (0, 0.0, 0.0);
+        let mut failed = None;
+        let cell = tenbench_core::par::with_threads(threads, || {
+            time_prepared(
+                a.reps,
+                || x.clone(),
+                |c| match convert_timed(c, a.block_bits, algo) {
+                    Ok((done, sort_s, build_s)) => {
+                        calls += 1;
+                        if calls > 1 {
+                            sort_sum += sort_s;
+                            build_sum += build_s;
+                        }
+                        Some(done)
+                    }
+                    Err(e) => {
+                        failed.get_or_insert(e);
+                        None
+                    }
+                },
+            )
+        });
+        match failed {
+            Some(e) => Err(e),
+            None => {
+                let timed = sort_sum + build_sum;
+                let sort_frac = if timed > 0.0 { sort_sum / timed } else { 0.0 };
+                Ok(Row {
+                    algo: label,
+                    threads,
+                    sort_s: cell.min_secs * sort_frac,
+                    build_s: cell.min_secs * (1.0 - sort_frac),
+                    total_s: cell.min_secs,
                 })
-            })?;
-            let row = ConvertRow {
-                algo: label,
-                threads,
-                sort_s,
-                build_s,
-            };
-            if best.as_ref().is_none_or(|b| row.total_s() < b.total_s()) {
-                best = Some(row);
             }
         }
-        Ok(best.expect("reps >= 1"))
     };
-
-    let baseline = measure(1, SortAlgo::Comparator, "comparator")?;
-    let mut rows = vec![baseline];
-    for &threads in threads_list {
-        rows.push(measure(threads, SortAlgo::Radix, "radix")?);
+    let mut measured = vec![measure(1, SortAlgo::Comparator, "comparator")?];
+    for &t in threads {
+        measured.push(measure(t, SortAlgo::Radix, "radix")?);
     }
 
-    let base_total = rows[0].total_s();
-    let mnnz = |r: &ConvertRow| m as f64 / r.total_s() / 1e6;
+    let m = x.nnz();
+    let base_total = measured[0].total_s;
     let mut tab = TextTable::new([
         "Pipeline",
         "Threads",
@@ -1273,309 +1307,115 @@ pub fn convert_bench(
         "Mnnz/s",
         "Speedup",
     ]);
-    for r in &rows {
+    let mut rows = Vec::new();
+    for r in &measured {
+        let mnnz = m as f64 / r.total_s / 1e6;
+        let speedup = base_total / r.total_s;
         tab.row([
             r.algo.to_string(),
             r.threads.to_string(),
             fnum(r.sort_s),
             fnum(r.build_s),
-            fnum(r.total_s()),
-            fnum(mnnz(r)),
-            format!("{:.2}x", base_total / r.total_s()),
+            fnum(r.total_s),
+            fnum(mnnz),
+            format!("{speedup:.2}x"),
         ]);
+        rows.push(
+            Obj::new()
+                .str("pipeline", r.algo)
+                .int("threads", r.threads as u64)
+                .num("sort_s", r.sort_s)
+                .num("build_s", r.build_s)
+                .num("total_s", r.total_s)
+                .fixed("mnnz_per_s", mnnz, 3)
+                .fixed("speedup_vs_baseline", speedup, 3)
+                .build(),
+        );
     }
-    let mut out = format!(
-        "COO -> HiCOO conversion pipeline on {dataset} ({}, {} nnz, B = {}, best of {reps})\n",
+    let last = measured.last().map_or(base_total, |r| r.total_s);
+    let metrics = vec![("convert_vs_comparator".to_string(), base_total / last)];
+    let mut text = format!(
+        "COO -> HiCOO conversion pipeline on {} ({}, {} nnz, B = {}, best of {})\n",
+        a.dataset,
         x.shape(),
         fint(m as u64),
-        1u32 << block_bits,
+        1u32 << a.block_bits,
+        a.reps,
     );
-    out.push_str(&tab.render());
-
-    let final_speedup = base_total / rows.last().expect("rows nonempty").total_s();
-
-    if let Some(path) = out_json {
-        let mut json = String::from("{\n");
-        json.push_str(&format!(
-            "  \"dataset\": \"{dataset}\",\n  \"shape\": \"{}\",\n  \"nnz\": {m},\n  \"block_bits\": {block_bits},\n  \"reps\": {reps},\n",
-            x.shape(),
-        ));
-        json.push_str("  \"rows\": [\n");
-        for (i, r) in rows.iter().enumerate() {
-            json.push_str(&format!(
-                "    {{\"pipeline\": \"{}\", \"threads\": {}, \"sort_s\": {}, \"build_s\": {}, \"total_s\": {}, \"mnnz_per_s\": {}, \"speedup_vs_baseline\": {}}}{}\n",
-                r.algo,
-                r.threads,
-                obs::json::json_f64(r.sort_s),
-                obs::json::json_f64(r.build_s),
-                obs::json::json_f64(r.total_s()),
-                obs::json::json_f64_fixed(mnnz(r), 3),
-                obs::json::json_f64_fixed(base_total / r.total_s(), 3),
-                if i + 1 < rows.len() { "," } else { "" }
-            ));
-        }
-        json.push_str(&format!(
-            "  ],\n  \"speedup_at_max_threads\": {}\n}}\n",
-            obs::json::json_f64_fixed(final_speedup, 3)
-        ));
-        std::fs::write(path, &json)?;
-        out.push_str(&format!("wrote {}\n", path.display()));
-    }
-
-    if let Some(floor) = min_speedup {
-        if final_speedup < floor {
-            return Err(CliError::Usage(format!(
-                "conversion speedup regression: radix at {} threads is {final_speedup:.2}x vs \
-                 sequential comparator baseline, below the floor of {floor:.2}x",
-                rows.last().expect("rows nonempty").threads,
-            )));
-        }
-        out.push_str(&format!(
-            "speedup gate: {final_speedup:.2}x >= {floor:.2}x ok\n"
-        ));
-    }
-    Ok(out)
+    text.push_str(&tab.render());
+    Ok(SuiteRun {
+        text,
+        config,
+        rows,
+        metrics,
+    })
 }
 
-/// One measured cell of the multicore scaling sweep.
-struct ScaleCell {
-    bench: &'static str,
-    threads: usize,
-    time_s: f64,
-    self_speedup: f64,
-    busy_frac: f64,
-    park_frac: f64,
-    steal_frac: f64,
-    chunks: u64,
-}
-
-/// Options for [`scale_bench`].
-pub struct ScaleBenchOpts {
-    /// Dataset registry id to generate.
-    pub dataset: String,
-    /// Target nonzero count.
-    pub nnz: usize,
-    /// Factor-matrix rank for Mttkrp/Ttm.
-    pub rank: usize,
-    /// HiCOO block bits.
-    pub block_bits: u8,
-    /// Pool sizes to sweep (sorted and deduplicated before measuring).
-    pub threads: Vec<usize>,
-    /// Timed repetitions per cell (best-of).
-    pub reps: usize,
-    /// Where to write `BENCH_scaling.json`, if anywhere.
-    pub out_json: Option<PathBuf>,
-    /// Scaling-floor file to enforce, if any.
-    pub floors: Option<PathBuf>,
-}
-
-/// Logical CPUs on this host. Scaling floors above this count are
-/// unenforceable — wall-clock self-speedup past the physical core count is
-/// not a real measurement — so the gate reports them as skipped.
-pub fn host_cpus() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// Parse a scaling-floor file: one `<bench>@<threads> <min_self_speedup>`
-/// per line, `#` comments. Keys without an `@` belong to other consumers
-/// of the same file (the conversion-bench single-point gate reads its
-/// floor from here too) and are ignored.
-fn parse_scaling_floors(path: &Path) -> CliResult<Vec<(String, usize, f64)>> {
-    let text = std::fs::read_to_string(path)?;
-    let mut floors = Vec::new();
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let bad = |what: &str| {
-            CliError::Usage(format!(
-                "{}:{}: {what}: {raw:?}",
-                path.display(),
-                lineno + 1
-            ))
-        };
-        let mut it = line.split_whitespace();
-        let (Some(key), Some(val)) = (it.next(), it.next()) else {
-            return Err(bad("expected `<bench>@<threads> <floor>`"));
-        };
-        let Some((bench, t)) = key.split_once('@') else {
-            continue;
-        };
-        let t: usize = t.parse().map_err(|_| bad("bad thread count"))?;
-        let floor: f64 = val.parse().map_err(|_| bad("bad floor"))?;
-        floors.push((bench.to_string(), t, floor));
-    }
-    Ok(floors)
-}
-
-/// `scale-bench`: sweep every kernel and the conversion pipeline across
-/// thread counts and report per-cell wall time, self-speedup (vs the
-/// smallest measured thread count), and pool telemetry (busy/park ratio
-/// and steal fraction over the measured reps). Optionally writes
-/// `BENCH_scaling.json` (with a `host_cpus` field so downstream gates can
-/// tell real flat curves from core-starved hosts) and enforces
-/// self-speedup floors from a `ci/scaling-floor.txt`-style file; floors
-/// whose thread count exceeds the host's cores are reported as skipped.
-pub fn scale_bench(opts: &ScaleBenchOpts) -> CliResult<String> {
-    let d = tenbench_gen::registry::find(&opts.dataset)
-        .ok_or_else(|| CliError::Usage(format!("unknown dataset id {:?}", opts.dataset)))?;
-    let mut threads = opts.threads.clone();
-    threads.sort_unstable();
-    threads.dedup();
-    if threads.is_empty() || threads[0] == 0 {
-        return Err(CliError::Usage(
-            "--threads must be a non-empty list of positive counts".to_string(),
-        ));
-    }
-    let reps = opts.reps.max(1);
-    let rank = opts.rank;
-    let block_bits = opts.block_bits;
-    let mode = 0usize;
-    let x = d.generate_with(opts.nnz, d.default_seed());
+/// Every kernel and the conversion pipeline at each pool size: best call
+/// time, self-speedup (vs the smallest pool), and pool telemetry
+/// (busy/park ratio and steal fraction over exactly the timed calls).
+/// Metrics `<bench>@<threads>`: the self-speedup.
+fn bench_scale(
+    x: &CooTensor<f32>,
+    a: &BenchArgs,
+    threads: &[usize],
+    config: Obj,
+) -> CliResult<SuiteRun> {
+    let (rank, block_bits, mode) = (a.rank, a.block_bits, 0usize);
 
     // Inputs shared by every cell, built once and untimed.
-    let y = make_partner(&x);
-    let factors = make_factors(&x, rank);
+    let y = make_partner(x);
+    let factors = make_factors(x, rank);
     let frefs: Vec<&DenseMatrix<f32>> = factors.iter().collect();
     let v = DenseVector::constant(x.shape().dim(mode) as usize, 1.0f32);
     let u = DenseMatrix::constant(x.shape().dim(mode) as usize, rank, 0.5f32);
     let mut xm = x.clone();
     let fp = xm.fibers(mode)?;
-    let hx = HicooTensor::from_coo(&x, block_bits)?;
+    let hx = HicooTensor::from_coo(x, block_bits)?;
+    let xm = &xm;
 
-    // Each bench does its own untimed setup (e.g. re-cloning the tensor
-    // the conversion pipeline is about to sort) and returns the wall
-    // seconds of the timed section alone.
-    type Bench<'a> = (&'static str, Box<dyn FnMut() -> CliResult<f64> + Send + 'a>);
-    let mut benches: Vec<Bench<'_>> = vec![
-        (
-            "convert",
-            Box::new(|| {
-                let mut c = x.clone();
-                let t0 = Instant::now();
-                c.sort_morton_with(block_bits, SortAlgo::Radix);
-                let h = HicooTensor::from_coo_inplace(&mut c, block_bits)?;
-                std::hint::black_box(h.num_blocks());
-                Ok(t0.elapsed().as_secs_f64())
-            }),
-        ),
-        (
-            "tew",
-            Box::new(|| {
-                let t0 = Instant::now();
-                std::hint::black_box(tew::tew_same_pattern(&x, &y, EwOp::Add)?);
-                Ok(t0.elapsed().as_secs_f64())
-            }),
-        ),
-        (
-            "ts",
-            Box::new(|| {
-                let t0 = Instant::now();
-                std::hint::black_box(ts::ts(&x, 1.01, EwOp::Mul)?);
-                Ok(t0.elapsed().as_secs_f64())
-            }),
-        ),
-        (
-            "ttv",
-            Box::new(|| {
-                let t0 = Instant::now();
-                std::hint::black_box(ttv::ttv_prepared(&xm, &fp, &v, Default::default())?);
-                Ok(t0.elapsed().as_secs_f64())
-            }),
-        ),
-        (
-            "ttm",
-            Box::new(|| {
-                let t0 = Instant::now();
-                std::hint::black_box(ttm::ttm_prepared(&xm, &fp, &u, Default::default())?);
-                Ok(t0.elapsed().as_secs_f64())
-            }),
-        ),
-        (
-            "mttkrp_atomic",
-            Box::new(|| {
-                let t0 = Instant::now();
-                std::hint::black_box(mttkrp::mttkrp_with(
-                    &x,
-                    &frefs,
-                    mode,
-                    mttkrp::MttkrpStrategy::Atomic,
-                )?);
-                Ok(t0.elapsed().as_secs_f64())
-            }),
-        ),
-        (
-            "mttkrp_sched",
-            Box::new(|| {
-                let t0 = Instant::now();
-                std::hint::black_box(mttkrp::mttkrp_with(
-                    &x,
-                    &frefs,
-                    mode,
-                    mttkrp::MttkrpStrategy::Scheduled,
-                )?);
-                Ok(t0.elapsed().as_secs_f64())
-            }),
-        ),
-        (
-            "mttkrp_hicoo_sched",
-            Box::new(|| {
-                let t0 = Instant::now();
-                std::hint::black_box(mttkrp::mttkrp_hicoo_sched(&hx, &frefs, mode)?);
-                Ok(t0.elapsed().as_secs_f64())
-            }),
-        ),
+    // One body per entry of `gate::SCALE_BENCHES`. Conversion sorts in
+    // place, so it alone is handed a fresh untimed copy of `x` per call
+    // and returns its tensors to be dropped after the clock stops.
+    type Body<'a> =
+        Box<dyn FnMut(Option<CooTensor<f32>>) -> CliResult<Option<Converted>> + Send + 'a>;
+    let mut bodies: Vec<Body<'_>> = vec![
+        Box::new(|c| {
+            let c = c.expect("conversion runs on a fresh copy");
+            Ok(Some(convert_timed(c, block_bits, SortAlgo::Radix)?.0))
+        }),
+        Box::new(|_| {
+            std::hint::black_box(tew::tew_same_pattern(x, &y, EwOp::Add)?);
+            Ok(None)
+        }),
+        Box::new(|_| {
+            std::hint::black_box(ts::ts(x, 1.01, EwOp::Mul)?);
+            Ok(None)
+        }),
+        Box::new(|_| {
+            std::hint::black_box(ttv::ttv_prepared(xm, &fp, &v, Default::default())?);
+            Ok(None)
+        }),
+        Box::new(|_| {
+            std::hint::black_box(ttm::ttm_prepared(xm, &fp, &u, Default::default())?);
+            Ok(None)
+        }),
+        Box::new(|_| {
+            let s = mttkrp::MttkrpStrategy::Atomic;
+            std::hint::black_box(mttkrp::mttkrp_with(x, &frefs, mode, s)?);
+            Ok(None)
+        }),
+        Box::new(|_| {
+            let s = mttkrp::MttkrpStrategy::Scheduled;
+            std::hint::black_box(mttkrp::mttkrp_with(x, &frefs, mode, s)?);
+            Ok(None)
+        }),
+        Box::new(|_| {
+            std::hint::black_box(mttkrp::mttkrp_hicoo_sched(&hx, &frefs, mode)?);
+            Ok(None)
+        }),
     ];
 
-    let mut cells: Vec<ScaleCell> = Vec::new();
-    for (name, run) in benches.iter_mut() {
-        let mut base: Option<f64> = None;
-        for &t in &threads {
-            let (time_s, stats) = tenbench_core::par::with_threads(t, || -> CliResult<_> {
-                // Warm-up rep: builds this thread count's schedules, warms
-                // the pool and scratch, and prefaults outputs — all
-                // outside the telemetry window.
-                run()?;
-                rayon::reset_pool_stats();
-                let prev = rayon::set_pool_telemetry(true);
-                let mut best = f64::INFINITY;
-                let mut failed = None;
-                for _ in 0..reps {
-                    match run() {
-                        Ok(s) => best = best.min(s),
-                        Err(e) => {
-                            failed = Some(e);
-                            break;
-                        }
-                    }
-                }
-                rayon::set_pool_telemetry(prev);
-                if let Some(e) = failed {
-                    return Err(e);
-                }
-                Ok((best, rayon::pool_stats()))
-            })?;
-            let busy: u64 =
-                stats.workers.iter().map(|w| w.busy_ns).sum::<u64>() + stats.caller.busy_ns;
-            let park: u64 = stats.workers.iter().map(|w| w.park_ns).sum();
-            let base_s = *base.get_or_insert(time_s);
-            cells.push(ScaleCell {
-                bench: name,
-                threads: t,
-                time_s,
-                self_speedup: base_s / time_s,
-                busy_frac: busy as f64 / (busy + park).max(1) as f64,
-                park_frac: park as f64 / (busy + park).max(1) as f64,
-                steal_frac: stats.chunks_stolen as f64 / stats.chunks_total.max(1) as f64,
-                chunks: stats.chunks_total,
-            });
-        }
-    }
-
-    let host = host_cpus();
     let mut tab = TextTable::new([
         "Bench",
         "Threads",
@@ -1585,87 +1425,217 @@ pub fn scale_bench(opts: &ScaleBenchOpts) -> CliResult<String> {
         "Steal",
         "Chunks",
     ]);
-    for c in &cells {
-        tab.row([
-            c.bench.to_string(),
-            c.threads.to_string(),
-            fnum(c.time_s),
-            format!("{:.2}x", c.self_speedup),
-            format!("{:.0}%", c.busy_frac * 100.0),
-            format!("{:.0}%", c.steal_frac * 100.0),
-            fint(c.chunks),
-        ]);
+    let (mut rows, mut metrics) = (Vec::new(), Vec::new());
+    for (name, body) in crate::gate::SCALE_BENCHES.iter().zip(bodies.iter_mut()) {
+        let fresh = *name == "convert";
+        let mut base = None;
+        for &t in threads {
+            let mut calls = 0;
+            let mut failed = None;
+            let (cell, stats) = tenbench_core::par::with_threads(t, || {
+                let prev = rayon::pool_telemetry_enabled();
+                let cell = time_prepared(
+                    a.reps,
+                    || {
+                        // The first call is the core's calibration warmup,
+                        // which also builds this pool size's schedules;
+                        // telemetry covers the timed calls after it.
+                        calls += 1;
+                        if calls == 2 {
+                            rayon::reset_pool_stats();
+                            rayon::set_pool_telemetry(true);
+                        }
+                        fresh.then(|| x.clone())
+                    },
+                    |c| match body(c) {
+                        Ok(done) => done,
+                        Err(e) => {
+                            failed.get_or_insert(e);
+                            None
+                        }
+                    },
+                );
+                rayon::set_pool_telemetry(prev);
+                (cell, rayon::pool_stats())
+            });
+            if let Some(e) = failed {
+                return Err(e);
+            }
+            let time_s = cell.min_secs;
+            let busy: u64 =
+                stats.workers.iter().map(|w| w.busy_ns).sum::<u64>() + stats.caller.busy_ns;
+            let park: u64 = stats.workers.iter().map(|w| w.park_ns).sum();
+            let active = (busy + park).max(1) as f64;
+            let self_speedup = *base.get_or_insert(time_s) / time_s;
+            let steal_frac = stats.chunks_stolen as f64 / stats.chunks_total.max(1) as f64;
+            tab.row([
+                name.to_string(),
+                t.to_string(),
+                fnum(time_s),
+                format!("{self_speedup:.2}x"),
+                format!("{:.0}%", busy as f64 / active * 100.0),
+                format!("{:.0}%", steal_frac * 100.0),
+                fint(stats.chunks_total),
+            ]);
+            rows.push(
+                Obj::new()
+                    .str("bench", name)
+                    .int("threads", t as u64)
+                    .num("time_s", time_s)
+                    .fixed("self_speedup", self_speedup, 3)
+                    .fixed("busy_frac", busy as f64 / active, 3)
+                    .fixed("park_frac", park as f64 / active, 3)
+                    .fixed("steal_frac", steal_frac, 3)
+                    .int("chunks", stats.chunks_total)
+                    .build(),
+            );
+            metrics.push((format!("{name}@{t}"), self_speedup));
+        }
     }
-    let mut out = format!(
-        "Multicore scaling sweep on {} ({}, {} nnz, R = {rank}, B = {}, best of {reps}, host cpus = {host})\n",
-        opts.dataset,
+    let mut text = format!(
+        "Multicore scaling sweep on {} ({}, {} nnz, R = {rank}, B = {}, best of {}, host cpus = {})\n",
+        a.dataset,
         x.shape(),
         fint(x.nnz() as u64),
         1u32 << block_bits,
+        a.reps,
+        host_cpus(),
     );
-    out.push_str(&tab.render());
+    text.push_str(&tab.render());
+    Ok(SuiteRun {
+        text,
+        config,
+        rows,
+        metrics,
+    })
+}
 
-    if let Some(path) = &opts.out_json {
-        let mut json = String::from("{\n");
-        json.push_str(&format!(
-            "  \"dataset\": \"{}\",\n  \"shape\": \"{}\",\n  \"nnz\": {},\n  \"rank\": {rank},\n  \"block_bits\": {block_bits},\n  \"reps\": {reps},\n  \"host_cpus\": {host},\n",
-            opts.dataset,
-            x.shape(),
-            x.nnz(),
-        ));
-        json.push_str("  \"rows\": [\n");
-        for (i, c) in cells.iter().enumerate() {
-            json.push_str(&format!(
-                "    {{\"bench\": \"{}\", \"threads\": {}, \"time_s\": {}, \"self_speedup\": {}, \"busy_frac\": {}, \"park_frac\": {}, \"steal_frac\": {}, \"chunks\": {}}}{}\n",
-                c.bench,
-                c.threads,
-                obs::json::json_f64(c.time_s),
-                obs::json::json_f64_fixed(c.self_speedup, 3),
-                obs::json::json_f64_fixed(c.busy_frac, 3),
-                obs::json::json_f64_fixed(c.park_frac, 3),
-                obs::json::json_f64_fixed(c.steal_frac, 3),
-                c.chunks,
-                if i + 1 < cells.len() { "," } else { "" }
+/// The wall-time cost of full tracing over the measured CPU suite at each
+/// pool size. Untraced and traced runs are interleaved round by round, so
+/// a slow phase of the host hits both sides alike, and each side keeps its
+/// best. Metric `overhead_pct`: the worst over the pool sizes.
+fn bench_obs_overhead(
+    x: &CooTensor<f32>,
+    a: &BenchArgs,
+    threads: &[usize],
+    rounds: usize,
+    config: Obj,
+) -> SuiteRun {
+    let machine = crate::suite::MachineModel {
+        name: "obs-overhead".into(),
+        ert_dram_gbs: 100.0,
+        peak_gflops: 1000.0,
+    };
+    let rounds = rounds.max(1);
+    // One plain timed run, not a cell: the suite's own cells are timed and
+    // counted inside it, and a multi-second call needs no batch sizing.
+    let suite_s = |t: usize| {
+        let t0 = Instant::now();
+        tenbench_core::par::with_threads(t, || {
+            std::hint::black_box(crate::suite::run_cpu_suite(
+                x,
+                &machine,
+                a.rank,
+                a.block_bits,
+                a.reps,
             ));
-        }
-        json.push_str("  ]\n}\n");
-        std::fs::write(path, &json)?;
-        out.push_str(&format!("wrote {}\n", path.display()));
-    }
+        });
+        t0.elapsed().as_secs_f64()
+    };
 
-    if let Some(floor_path) = &opts.floors {
-        let floors = parse_scaling_floors(floor_path)?;
-        let mut violations = Vec::new();
-        for (bench, t, floor) in &floors {
-            if *t > host {
-                out.push_str(&format!(
-                    "gate {bench}@{t}: skipped (floor {floor:.2}x, host has {host} cpus)\n"
-                ));
-                continue;
-            }
-            match cells.iter().find(|c| c.bench == bench && c.threads == *t) {
-                None => violations.push(format!(
-                    "{bench}@{t}: floor {floor:.2}x but no measured row \
-                     (pass --threads including {t})"
-                )),
-                Some(c) if c.self_speedup < *floor => violations.push(format!(
-                    "{bench}@{t}: self-speedup {:.2}x below floor {floor:.2}x",
-                    c.self_speedup
-                )),
-                Some(c) => out.push_str(&format!(
-                    "gate {bench}@{t}: {:.2}x >= {floor:.2}x ok\n",
-                    c.self_speedup
-                )),
-            }
+    let mut tab = TextTable::new(["Threads", "Untraced (s)", "Traced (s)", "Overhead"]);
+    let mut rows = Vec::new();
+    let mut worst = f64::NEG_INFINITY;
+    for &t in threads {
+        let (mut untraced_s, mut traced_s) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..rounds {
+            untraced_s = untraced_s.min(suite_s(t));
+            let cap = crate::metrics::Capture::begin();
+            traced_s = traced_s.min(suite_s(t));
+            let _ = cap.finish();
         }
-        if !violations.is_empty() {
-            return Err(CliError::Usage(format!(
-                "scaling gate failed:\n  {}",
-                violations.join("\n  ")
-            )));
-        }
+        // Guarded: a degenerate zero-time untraced baseline must not turn
+        // the overhead into a non-finite number.
+        let pct = if untraced_s > 0.0 && untraced_s.is_finite() && traced_s.is_finite() {
+            (traced_s / untraced_s - 1.0) * 100.0
+        } else {
+            0.0
+        };
+        tab.row([
+            t.to_string(),
+            fnum(untraced_s),
+            fnum(traced_s),
+            format!("{pct:+.2}%"),
+        ]);
+        rows.push(
+            Obj::new()
+                .int("threads", t as u64)
+                .num("untraced_s", untraced_s)
+                .num("traced_s", traced_s)
+                .fixed("overhead_pct", pct, 3)
+                .build(),
+        );
+        worst = worst.max(pct);
     }
-    Ok(out)
+    let metrics = vec![("overhead_pct".to_string(), worst)];
+    let mut text = format!(
+        "Tracing overhead on {} ({}, {} nnz, R = {}, B = {}, best of {rounds})\n",
+        a.dataset,
+        x.shape(),
+        fint(x.nnz() as u64),
+        a.rank,
+        1u32 << a.block_bits,
+    );
+    text.push_str(&tab.render());
+    SuiteRun {
+        text,
+        config: config.int("rounds", rounds as u64),
+        rows,
+        metrics,
+    }
+}
+
+/// Logical CPUs on this host. Floors keyed above this count are
+/// unenforceable — wall-clock self-speedup past the physical core count is
+/// not a real measurement — so the gate reports them as skipped.
+pub fn host_cpus() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
+/// Read the floors `suite` is gated on (none without a floor file).
+fn read_floors(path: Option<&Path>, suite: &str) -> CliResult<Vec<gate::Floor>> {
+    path.map_or(Ok(Vec::new()), |p| gate::read_floors(p, suite))
+        .map_err(CliError::Usage)
+}
+
+/// Enforce `floors` against a run's metrics: the gate's report lines, or a
+/// usage error listing every violation.
+fn enforce(suite: &str, floors: &[gate::Floor], metrics: &[(String, f64)]) -> CliResult<String> {
+    gate::check(suite, floors, metrics, host_cpus()).map_err(CliError::Usage)
+}
+
+/// Write a `BENCH_*.json` artifact, `{suite, env, config, rows}` with
+/// `env = {host_cpus, avx2, backend}`, parse-checked before it reaches
+/// disk. Returns the report line naming the file.
+fn write_artifact(path: &Path, suite: &str, config: Obj, rows: Vec<String>) -> CliResult<String> {
+    let env = Obj::new()
+        .int("host_cpus", host_cpus() as u64)
+        .bool("avx2", tenbench_core::simd::avx2_available())
+        .str("backend", tenbench_core::simd::current_backend().name());
+    let json = Obj::new()
+        .str("suite", suite)
+        .raw("env", env.build())
+        .raw("config", config.build())
+        // One row per line keeps committed artifacts diffable.
+        .raw("rows", format!("[\n  {}\n]", rows.join(",\n  ")))
+        .build();
+    obs::json::Value::parse(&json).map_err(|e| {
+        CliError::Usage(format!("internal: emitted {} invalid: {e}", path.display()))
+    })?;
+    std::fs::write(path, json + "\n")?;
+    Ok(format!("wrote {}\n", path.display()))
 }
 
 /// `report <trace.json | flight-dump.json>`: validate a previously
@@ -1701,131 +1671,6 @@ pub fn report(input: &Path) -> CliResult<String> {
     ))
 }
 
-/// `obs-overhead`: measure the wall-time cost of full tracing over the
-/// measured CPU suite at each requested thread count. Untraced and traced
-/// runs are interleaved and the best of `rounds` is kept on both sides, so
-/// one-off scheduling noise cannot manufacture (or hide) overhead.
-/// Optionally writes `BENCH_obs_overhead.json` and enforces a maximum
-/// overhead percentage at every thread count (the CI gate).
-#[allow(clippy::too_many_arguments)]
-pub fn obs_overhead(
-    dataset: &str,
-    nnz: usize,
-    rank: usize,
-    block_bits: u8,
-    reps: usize,
-    threads_list: &[usize],
-    rounds: usize,
-    out_json: Option<&Path>,
-    max_overhead_pct: Option<f64>,
-) -> CliResult<String> {
-    let d = tenbench_gen::registry::find(dataset)
-        .ok_or_else(|| CliError::Usage(format!("unknown dataset id {dataset:?}")))?;
-    let x = d.generate_with(nnz, d.default_seed());
-    let machine = crate::suite::MachineModel {
-        name: "obs-overhead".into(),
-        ert_dram_gbs: 100.0,
-        peak_gflops: 1000.0,
-    };
-    let rounds = rounds.max(1);
-
-    struct Row {
-        threads: usize,
-        untraced_s: f64,
-        traced_s: f64,
-    }
-    let mut rows = Vec::new();
-    for &threads in threads_list {
-        let mut untraced_s = f64::INFINITY;
-        let mut traced_s = f64::INFINITY;
-        for _ in 0..rounds {
-            let t0 = Instant::now();
-            tenbench_core::par::with_threads(threads, || {
-                std::hint::black_box(crate::suite::run_cpu_suite(
-                    &x, &machine, rank, block_bits, reps,
-                ));
-            });
-            untraced_s = untraced_s.min(t0.elapsed().as_secs_f64());
-
-            let cap = crate::metrics::Capture::begin();
-            let t0 = Instant::now();
-            tenbench_core::par::with_threads(threads, || {
-                std::hint::black_box(crate::suite::run_cpu_suite(
-                    &x, &machine, rank, block_bits, reps,
-                ));
-            });
-            traced_s = traced_s.min(t0.elapsed().as_secs_f64());
-            let _ = cap.finish();
-        }
-        rows.push(Row {
-            threads,
-            untraced_s,
-            traced_s,
-        });
-    }
-    // Guarded: a degenerate zero-time untraced baseline must not turn the
-    // overhead into a non-finite number (it would poison the JSON gate).
-    let pct = |r: &Row| {
-        if r.untraced_s > 0.0 && r.untraced_s.is_finite() && r.traced_s.is_finite() {
-            (r.traced_s / r.untraced_s - 1.0) * 100.0
-        } else {
-            0.0
-        }
-    };
-
-    let mut tab = TextTable::new(["Threads", "Untraced (s)", "Traced (s)", "Overhead"]);
-    for r in &rows {
-        tab.row([
-            r.threads.to_string(),
-            fnum(r.untraced_s),
-            fnum(r.traced_s),
-            format!("{:+.2}%", pct(r)),
-        ]);
-    }
-    let mut out = format!(
-        "Tracing overhead on {dataset} ({}, {} nnz, R = {rank}, B = {}, best of {rounds})\n",
-        x.shape(),
-        fint(x.nnz() as u64),
-        1u32 << block_bits,
-    );
-    out.push_str(&tab.render());
-
-    if let Some(path) = out_json {
-        let mut json = String::from("{\n");
-        json.push_str(&format!(
-            "  \"dataset\": \"{dataset}\",\n  \"shape\": \"{}\",\n  \"nnz\": {},\n  \"rank\": {rank},\n  \"block_bits\": {block_bits},\n  \"reps\": {reps},\n  \"rounds\": {rounds},\n",
-            x.shape(),
-            x.nnz(),
-        ));
-        json.push_str("  \"rows\": [\n");
-        for (i, r) in rows.iter().enumerate() {
-            json.push_str(&format!(
-                "    {{\"threads\": {}, \"untraced_s\": {}, \"traced_s\": {}, \"overhead_pct\": {}}}{}\n",
-                r.threads,
-                obs::json::json_f64(r.untraced_s),
-                obs::json::json_f64(r.traced_s),
-                obs::json::json_f64_fixed(pct(r), 3),
-                if i + 1 < rows.len() { "," } else { "" }
-            ));
-        }
-        json.push_str("  ]\n}\n");
-        std::fs::write(path, &json)?;
-        out.push_str(&format!("wrote {}\n", path.display()));
-    }
-
-    if let Some(ceiling) = max_overhead_pct {
-        if let Some(r) = rows.iter().find(|r| pct(r) > ceiling) {
-            return Err(CliError::Usage(format!(
-                "tracing overhead regression: {:+.2}% at {} threads, above the ceiling of {ceiling:.2}%",
-                pct(r),
-                r.threads,
-            )));
-        }
-        out.push_str(&format!("overhead gate: all <= {ceiling:.2}% ok\n"));
-    }
-    Ok(out)
-}
-
 /// Parse a `--duration` value: a plain number of seconds, optionally with
 /// an `s`/`ms` suffix (`"5"`, `"5s"`, `"250ms"`).
 pub fn parse_duration(s: &str) -> CliResult<std::time::Duration> {
@@ -1854,8 +1699,7 @@ pub fn serve_demo(
     serve_cfg: tenbench_serve::ServeConfig,
     sup_cfg: &SupervisorConfig,
 ) -> CliResult<String> {
-    let d = tenbench_gen::registry::find(dataset)
-        .ok_or_else(|| CliError::Usage(format!("unknown dataset id {dataset:?}")))?;
+    let d = find_dataset(dataset)?;
     let pool: Vec<Arc<CooTensor<f32>>> = (0..3u64)
         .map(|i| Arc::new(d.generate_with(nnz, d.default_seed().wrapping_add(i))))
         .collect();
@@ -1955,33 +1799,62 @@ pub struct StressOpts {
     pub rank: usize,
     /// Per-request queue deadline in ms for the closed loop (0 = none).
     pub deadline_ms: u64,
-    /// Fail if the closed-loop p99 latency exceeds this many ms.
-    pub max_p99_ms: Option<f64>,
-    /// Fail if the closed-loop cache hit ratio falls below this.
-    pub min_hit_ratio: f64,
     /// Write `BENCH_serve.json` here.
     pub out_json: Option<PathBuf>,
+    /// Floor file whose `stress` (or, with `--net`, `stress-net`) lines
+    /// gate the run.
+    pub floors: Option<PathBuf>,
+}
+
+/// Look up a dataset registry id.
+fn find_dataset(id: &str) -> CliResult<&'static tenbench_gen::Dataset> {
+    tenbench_gen::registry::find(id)
+        .ok_or_else(|| CliError::Usage(format!("unknown dataset id {id:?}")))
+}
+
+/// The stress paths' tensor pool, one seed apart from the dataset's
+/// default seed, which is returned too.
+fn stress_pool(opts: &StressOpts) -> CliResult<(Vec<Arc<CooTensor<f32>>>, u64)> {
+    let d = find_dataset(&opts.dataset)?;
+    if opts.tensors == 0 {
+        return Err(CliError::Usage("--tensors must be at least 1".to_string()));
+    }
+    let seed = d.default_seed();
+    let pool = (0..opts.tensors as u64)
+        .map(|i| Arc::new(d.generate_with(opts.nnz, seed.wrapping_add(i))))
+        .collect();
+    Ok((pool, seed))
+}
+
+/// The `config` members shared by both stress paths' artifacts.
+fn stress_config(opts: &StressOpts, serve_cfg: &tenbench_serve::ServeConfig) -> Obj {
+    Obj::new()
+        .str("dataset", &opts.dataset)
+        .int("nnz", opts.nnz as u64)
+        .int("tensors", opts.tensors as u64)
+        .num("duration_s", opts.duration.as_secs_f64())
+        .num("alpha", opts.alpha)
+        .int("rank", opts.rank as u64)
+        .int("workers", serve_cfg.workers as u64)
+        .int("queue_bound", serve_cfg.queue_bound as u64)
+        .int("max_batch", serve_cfg.max_batch as u64)
+        .int("cache_bytes", serve_cfg.cache_bytes)
+        .int("deadline_ms", opts.deadline_ms)
 }
 
 /// `stress`: drive the kernel service closed-loop with Zipf-skewed tensor
 /// popularity, then probe overload behaviour with an open burst, and
-/// write `BENCH_serve.json`. Gates (each a usage error on violation):
-/// closed-loop p99 at or under `--max-p99-ms`; cache hit ratio at or over
-/// `--min-hit-ratio`; at least one typed queue-full rejection from the
-/// overload probe.
+/// write `BENCH_serve.json`. Gates (each a usage error on violation): at
+/// least one completion; the `stress` floors (`p99_ms`, `hit_ratio` of
+/// the closed-loop phase); at least one typed queue-full rejection from
+/// the overload probe.
 pub fn stress(
     opts: &StressOpts,
     serve_cfg: tenbench_serve::ServeConfig,
     sup_cfg: &SupervisorConfig,
 ) -> CliResult<String> {
-    let d = tenbench_gen::registry::find(&opts.dataset)
-        .ok_or_else(|| CliError::Usage(format!("unknown dataset id {:?}", opts.dataset)))?;
-    if opts.tensors == 0 {
-        return Err(CliError::Usage("--tensors must be at least 1".to_string()));
-    }
-    let pool: Vec<Arc<CooTensor<f32>>> = (0..opts.tensors as u64)
-        .map(|i| Arc::new(d.generate_with(opts.nnz, d.default_seed().wrapping_add(i))))
-        .collect();
+    let floors = read_floors(opts.floors.as_deref(), "stress")?;
+    let (pool, seed) = stress_pool(opts)?;
 
     let svc = tenbench_serve::KernelService::start(
         serve_cfg.clone(),
@@ -1996,7 +1869,7 @@ pub fn stress(
             zipf_alpha: opts.alpha,
             rank: opts.rank,
             deadline_ms: opts.deadline_ms,
-            seed: d.default_seed(),
+            seed,
         },
     );
     // Snapshot the closed-loop phase before the overload burst pollutes
@@ -2031,50 +1904,34 @@ pub fn stress(
     ));
 
     if let Some(path) = &opts.out_json {
-        let json = format!(
-            concat!(
-                "{{\n  \"config\": {{\"dataset\": \"{}\", \"nnz\": {}, \"tensors\": {}, ",
-                "\"duration_s\": {}, \"concurrency\": {}, \"alpha\": {}, \"rank\": {}, ",
-                "\"workers\": {}, \"queue_bound\": {}, \"max_batch\": {}, ",
-                "\"cache_bytes\": {}, \"deadline_ms\": {}}},\n",
-                "  \"zipf_phase\": {{\"clients\": {{\"issued\": {}, \"ok\": {}, ",
-                "\"rejected_full\": {}, \"rejected_deadline\": {}, \"failed\": {}}}, ",
-                "\"service\": {}}},\n",
-                "  \"overload_probe\": {{\"submitted\": {}, \"rejected_queue_full\": {}, ",
-                "\"rejected_deadline\": {}, \"completed\": {}, \"failed\": {}}},\n",
-                "  \"final\": {}\n}}\n"
-            ),
-            opts.dataset,
-            opts.nnz,
-            opts.tensors,
-            obs::json::json_f64(opts.duration.as_secs_f64()),
-            opts.concurrency,
-            obs::json::json_f64(opts.alpha),
-            opts.rank,
-            serve_cfg.workers,
-            serve_cfg.queue_bound,
-            serve_cfg.max_batch,
-            serve_cfg.cache_bytes,
-            opts.deadline_ms,
-            tally.issued,
-            tally.ok,
-            tally.rejected_full,
-            tally.rejected_deadline,
-            tally.failed,
-            zipf_report.to_json(),
-            probe.submitted,
-            probe.rejected_queue_full,
-            probe.rejected_deadline,
-            probe.completed,
-            probe.failed,
-            final_report.to_json(),
-        );
-        // Self-check: the artifact must parse before it reaches disk.
-        obs::json::Value::parse(&json).map_err(|e| {
-            CliError::Usage(format!("internal: emitted BENCH_serve.json invalid: {e}"))
-        })?;
-        std::fs::write(path, &json)?;
-        out.push_str(&format!("\nwrote {}\n", path.display()));
+        let clients = Obj::new()
+            .int("issued", tally.issued)
+            .int("ok", tally.ok)
+            .int("rejected_full", tally.rejected_full)
+            .int("rejected_deadline", tally.rejected_deadline)
+            .int("failed", tally.failed);
+        let rows = vec![
+            Obj::new()
+                .str("phase", "zipf")
+                .raw("clients", clients.build())
+                .raw("service", zipf_report.to_json())
+                .build(),
+            Obj::new()
+                .str("phase", "overload_probe")
+                .int("submitted", probe.submitted)
+                .int("rejected_queue_full", probe.rejected_queue_full)
+                .int("rejected_deadline", probe.rejected_deadline)
+                .int("completed", probe.completed)
+                .int("failed", probe.failed)
+                .build(),
+            Obj::new()
+                .str("phase", "final")
+                .raw("service", final_report.to_json())
+                .build(),
+        ];
+        let config = stress_config(opts, &serve_cfg).int("concurrency", opts.concurrency as u64);
+        out.push('\n');
+        out.push_str(&write_artifact(path, "stress", config, rows)?);
     }
 
     if tally.ok == 0 {
@@ -2082,29 +1939,11 @@ pub fn stress(
             "stress gate: no request completed in the closed-loop phase".to_string(),
         ));
     }
-    let hit = zipf_report.cache.hit_ratio();
-    if hit < opts.min_hit_ratio {
-        return Err(CliError::Usage(format!(
-            "stress gate: cache hit ratio {hit:.3} below the floor of {:.3}",
-            opts.min_hit_ratio,
-        )));
-    }
-    out.push_str(&format!(
-        "hit-ratio gate: {hit:.3} >= {:.3} ok\n",
-        opts.min_hit_ratio
-    ));
-    if let Some(ceiling) = opts.max_p99_ms {
-        if zipf_report.p99_ms > ceiling {
-            return Err(CliError::Usage(format!(
-                "stress gate: closed-loop p99 {:.2} ms above the ceiling of {ceiling:.2} ms",
-                zipf_report.p99_ms,
-            )));
-        }
-        out.push_str(&format!(
-            "p99 gate: {:.2} ms <= {ceiling:.2} ms ok\n",
-            zipf_report.p99_ms
-        ));
-    }
+    let metrics = [
+        ("p99_ms".to_string(), zipf_report.p99_ms),
+        ("hit_ratio".to_string(), zipf_report.cache.hit_ratio()),
+    ];
+    out.push_str(&enforce("stress", &floors, &metrics)?);
     if probe.rejected_queue_full == 0 {
         return Err(CliError::Usage(
             "stress gate: overload probe saw no typed queue-full rejection — admission \
@@ -2160,20 +1999,15 @@ impl WireTally {
     }
 
     fn to_json(self) -> String {
-        format!(
-            concat!(
-                "{{\"issued\": {}, \"ok\": {}, \"rejected_full\": {}, ",
-                "\"rejected_deadline\": {}, \"shutting_down\": {}, ",
-                "\"failed\": {}, \"lost\": {}}}"
-            ),
-            self.issued,
-            self.ok,
-            self.rejected_full,
-            self.rejected_deadline,
-            self.shutting_down,
-            self.failed,
-            self.lost,
-        )
+        Obj::new()
+            .int("issued", self.issued)
+            .int("ok", self.ok)
+            .int("rejected_full", self.rejected_full)
+            .int("rejected_deadline", self.rejected_deadline)
+            .int("shutting_down", self.shutting_down)
+            .int("failed", self.failed)
+            .int("lost", self.lost)
+            .build()
     }
 
     fn render(&self) -> String {
@@ -2218,29 +2052,21 @@ fn classify(tally: &mut WireTally, status: tenbench_serve::WireStatus) -> bool {
 /// genuinely wire-level. Gates (each a usage error on violation): at
 /// least one completion; zero lost requests (every request gets a
 /// response frame or a typed rejection); zero server-side protocol
-/// errors; aggregate cache hit ratio at or over `--min-hit-ratio`; wire
-/// p99 at or under `--max-p99-ms`; at least one typed queue-full
-/// rejection in the burst.
+/// errors; the `stress-net` floors (wire `p99_ms`, aggregate
+/// `hit_ratio`); at least one typed queue-full rejection in the burst.
 pub fn stress_net(
     opts: &StressOpts,
     net: &NetStressOpts,
     serve_cfg: tenbench_serve::ServeConfig,
     sup_cfg: &SupervisorConfig,
 ) -> CliResult<String> {
-    let d = tenbench_gen::registry::find(&opts.dataset)
-        .ok_or_else(|| CliError::Usage(format!("unknown dataset id {:?}", opts.dataset)))?;
-    if opts.tensors == 0 {
-        return Err(CliError::Usage("--tensors must be at least 1".to_string()));
-    }
+    let floors = read_floors(opts.floors.as_deref(), "stress-net")?;
     if net.connections == 0 {
         return Err(CliError::Usage(
             "--connections must be at least 1".to_string(),
         ));
     }
-    let seed0 = d.default_seed();
-    let pool: Vec<Arc<CooTensor<f32>>> = (0..opts.tensors as u64)
-        .map(|i| Arc::new(d.generate_with(opts.nnz, seed0.wrapping_add(i))))
-        .collect();
+    let (pool, seed0) = stress_pool(opts)?;
     // Serialize each tensor once; every request reuses the TNB2 bytes.
     let blobs: Vec<Vec<u8>> = pool
         .iter()
@@ -2466,48 +2292,33 @@ pub fn stress_net(
     }
 
     if let Some(path) = &opts.out_json {
-        let json = format!(
-            concat!(
-                "{{\n  \"config\": {{\"dataset\": \"{}\", \"nnz\": {}, \"tensors\": {}, ",
-                "\"duration_s\": {}, \"connections\": {}, \"shards\": {}, \"alpha\": {}, ",
-                "\"rank\": {}, \"workers\": {}, \"queue_bound\": {}, \"max_batch\": {}, ",
-                "\"cache_bytes\": {}, \"deadline_ms\": {}}},\n",
-                "  \"zipf_phase\": {{\"clients\": {}, ",
-                "\"wire_latency\": {{\"p50_ms\": {}, \"p90_ms\": {}, \"p99_ms\": {}, ",
-                "\"hist\": {}}}}},\n",
-                "  \"overload_burst\": {{\"connections\": {}, \"per_connection\": {}, ",
-                "\"clients\": {}}},\n",
-                "  \"final\": {}\n}}\n"
-            ),
-            opts.dataset,
-            opts.nnz,
-            opts.tensors,
-            obs::json::json_f64(opts.duration.as_secs_f64()),
-            net.connections,
-            net_cfg.shards,
-            obs::json::json_f64(opts.alpha),
-            opts.rank,
-            serve_cfg.workers,
-            serve_cfg.queue_bound,
-            serve_cfg.max_batch,
-            serve_cfg.cache_bytes,
-            opts.deadline_ms,
-            tally.to_json(),
-            obs::json::json_f64(wire_p50),
-            obs::json::json_f64(wire_p90),
-            obs::json::json_f64(wire_p99),
-            wire_hist.to_json(),
-            burst_conns,
-            per_conn,
-            burst.to_json(),
-            report.to_json(),
-        );
-        // Self-check: the artifact must parse before it reaches disk.
-        obs::json::Value::parse(&json).map_err(|e| {
-            CliError::Usage(format!("internal: emitted BENCH_serve.json invalid: {e}"))
-        })?;
-        std::fs::write(path, &json)?;
-        out.push_str(&format!("\nwrote {}\n", path.display()));
+        let latency = Obj::new()
+            .num("p50_ms", wire_p50)
+            .num("p90_ms", wire_p90)
+            .num("p99_ms", wire_p99)
+            .raw("hist", wire_hist.to_json());
+        let rows = vec![
+            Obj::new()
+                .str("phase", "zipf")
+                .raw("clients", tally.to_json())
+                .raw("wire_latency", latency.build())
+                .build(),
+            Obj::new()
+                .str("phase", "overload_burst")
+                .int("connections", burst_conns as u64)
+                .int("per_connection", per_conn as u64)
+                .raw("clients", burst.to_json())
+                .build(),
+            Obj::new()
+                .str("phase", "final")
+                .raw("server", report.to_json())
+                .build(),
+        ];
+        let config = stress_config(opts, &serve_cfg)
+            .int("connections", net.connections as u64)
+            .int("shards", net_cfg.shards as u64);
+        out.push('\n');
+        out.push_str(&write_artifact(path, "stress-net", config, rows)?);
     }
 
     if tally.ok == 0 {
@@ -2528,27 +2339,11 @@ pub fn stress_net(
             report.protocol_errors,
         )));
     }
-    let hit = cache.hit_ratio();
-    if hit < opts.min_hit_ratio {
-        return Err(CliError::Usage(format!(
-            "net stress gate: cache hit ratio {hit:.3} below the floor of {:.3}",
-            opts.min_hit_ratio,
-        )));
-    }
-    out.push_str(&format!(
-        "hit-ratio gate: {hit:.3} >= {:.3} ok\n",
-        opts.min_hit_ratio
-    ));
-    if let Some(ceiling) = opts.max_p99_ms {
-        if wire_p99 > ceiling {
-            return Err(CliError::Usage(format!(
-                "net stress gate: wire p99 {wire_p99:.2} ms above the ceiling of {ceiling:.2} ms"
-            )));
-        }
-        out.push_str(&format!(
-            "p99 gate: {wire_p99:.2} ms <= {ceiling:.2} ms ok\n"
-        ));
-    }
+    let metrics = [
+        ("p99_ms".to_string(), wire_p99),
+        ("hit_ratio".to_string(), cache.hit_ratio()),
+    ];
+    out.push_str(&enforce("stress-net", &floors, &metrics)?);
     if burst.rejected_full == 0 {
         return Err(CliError::Usage(
             "net stress gate: overload burst saw no typed queue-full rejection — admission \
@@ -2570,74 +2365,22 @@ pub struct ChaosOpts {
     pub cfg: crate::chaos::ChaosConfig,
     /// Write `BENCH_chaos.json` here.
     pub out_json: Option<PathBuf>,
-    /// Read gate floors (`max_lost_jobs` / `min_recoveries`) from this
-    /// `ci/chaos-floor.txt`-style file.
+    /// Floor file whose `chaos` lines (`recoveries`) gate the run.
     pub floors: Option<PathBuf>,
     /// Write flight-recorder dumps here as faults fire, and gate on one
     /// dump per observed fault kind at the end of the run.
     pub flight_dump_dir: Option<PathBuf>,
 }
 
-/// Gate floors for a chaos run: the CI contract.
-#[derive(Debug, Clone, Copy)]
-struct ChaosFloors {
-    /// Admitted jobs allowed to vanish without a terminal state (0).
-    max_lost_jobs: u64,
-    /// Minimum checkpoint-resume recoveries, proving the injector fired
-    /// and recovery worked (not merely that nothing went wrong).
-    min_recoveries: u64,
-}
-
-impl Default for ChaosFloors {
-    fn default() -> Self {
-        ChaosFloors {
-            max_lost_jobs: 0,
-            min_recoveries: 1,
-        }
-    }
-}
-
-fn parse_chaos_floors(path: &Path) -> CliResult<ChaosFloors> {
-    let text = std::fs::read_to_string(path)?;
-    let mut floors = ChaosFloors::default();
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let bad = |what: &str| {
-            CliError::Usage(format!(
-                "{}:{}: {what}: {raw:?}",
-                path.display(),
-                lineno + 1
-            ))
-        };
-        let mut it = line.split_whitespace();
-        let (Some(key), Some(val)) = (it.next(), it.next()) else {
-            return Err(bad("expected `<key> <value>`"));
-        };
-        let val: u64 = val.parse().map_err(|_| bad("bad value"))?;
-        match key {
-            "max_lost_jobs" => floors.max_lost_jobs = val,
-            "min_recoveries" => floors.min_recoveries = val,
-            _ => return Err(bad("unknown chaos floor key")),
-        }
-    }
-    Ok(floors)
-}
-
 /// `chaos`: run the fault-injection harness against a live service and
-/// apply the robustness gates (each a usage error on violation): zero lost
-/// jobs beyond the floor, at least `min_recoveries` checkpoint-resume
-/// recoveries, every injected fault kind exercised, at least one typed
+/// apply the robustness gates (each a usage error on violation): no
+/// admitted job lost, the `chaos` floor on checkpoint-resume recoveries,
+/// every injected fault kind exercised, at least one typed
 /// queue-full rejection from the job burst, bitwise CP-ALS reference
 /// match for every completed decomposition, and no fit-residual increase
 /// across a resume boundary.
 pub fn chaos(opts: &ChaosOpts) -> CliResult<String> {
-    let floors = match &opts.floors {
-        Some(path) => parse_chaos_floors(path)?,
-        None => ChaosFloors::default(),
-    };
+    let floors = read_floors(opts.floors.as_deref(), "chaos")?;
     if let Some(dir) = &opts.flight_dump_dir {
         obs::flight::set_dump_dir(Some(dir.clone()))
             .map_err(|e| CliError::Usage(format!("--flight-dump-dir {}: {e}", dir.display())))?;
@@ -2719,54 +2462,36 @@ pub fn chaos(opts: &ChaosOpts) -> CliResult<String> {
     }
 
     if let Some(path) = &opts.out_json {
-        let json = format!(
-            concat!(
-                "{{\n  \"config\": {{\"seed\": {}, \"jobs\": {}, \"duration_s\": {}, ",
-                "\"clients\": {}, \"tensors\": {}, \"dim\": {}, \"nnz\": {}, ",
-                "\"fault_rate\": {}, \"max_step_seconds\": {}}},\n",
-                "  \"report\": {}\n}}\n"
-            ),
-            opts.cfg.seed,
-            opts.cfg.jobs,
-            obs::json::json_f64(opts.cfg.duration.as_secs_f64()),
-            opts.cfg.clients,
-            opts.cfg.tensors,
-            opts.cfg.dim,
-            opts.cfg.nnz,
-            obs::json::json_f64(opts.cfg.fault_rate),
-            obs::json::json_f64(opts.cfg.max_step_seconds),
-            report.to_json(),
-        );
-        obs::json::Value::parse(&json).map_err(|e| {
-            CliError::Usage(format!("internal: emitted BENCH_chaos.json invalid: {e}"))
-        })?;
-        std::fs::write(path, &json)?;
-        out.push_str(&format!("\nwrote {}\n", path.display()));
+        let config = Obj::new()
+            .int("seed", opts.cfg.seed)
+            .int("jobs", opts.cfg.jobs as u64)
+            .num("duration_s", opts.cfg.duration.as_secs_f64())
+            .int("clients", opts.cfg.clients as u64)
+            .int("tensors", opts.cfg.tensors as u64)
+            .int("dim", u64::from(opts.cfg.dim))
+            .int("nnz", opts.cfg.nnz as u64)
+            .num("fault_rate", opts.cfg.fault_rate)
+            .num("max_step_seconds", opts.cfg.max_step_seconds);
+        out.push('\n');
+        out.push_str(&write_artifact(
+            path,
+            "chaos",
+            config,
+            vec![report.to_json()],
+        )?);
     }
 
     // The gates. Render the full report above first so a violated gate
     // still leaves the evidence on screen.
-    if report.lost > floors.max_lost_jobs {
+    if report.lost > 0 {
         return Err(CliError::Usage(format!(
-            "chaos gate: {} jobs lost without a terminal state (floor {})",
-            report.lost, floors.max_lost_jobs,
+            "chaos gate: {} admitted jobs lost without a terminal state",
+            report.lost,
         )));
     }
-    out.push_str(&format!(
-        "lost-jobs gate: {} <= {} ok\n",
-        report.lost, floors.max_lost_jobs
-    ));
-    if report.resumes < floors.min_recoveries {
-        return Err(CliError::Usage(format!(
-            "chaos gate: only {} checkpoint-resume recoveries (floor {}) — the injector \
-             or the resume path is dead",
-            report.resumes, floors.min_recoveries,
-        )));
-    }
-    out.push_str(&format!(
-        "recovery gate: {} resumes >= {} ok\n",
-        report.resumes, floors.min_recoveries
-    ));
+    out.push_str("lost gate: every admitted job reached a terminal state (0 lost) ok\n");
+    let metrics = [("recoveries".to_string(), report.resumes as f64)];
+    out.push_str(&enforce("chaos", &floors, &metrics)?);
     if report.injected_panics == 0 || report.injected_hangs == 0 || report.injected_corruptions == 0
     {
         return Err(CliError::Usage(format!(
@@ -2912,53 +2637,138 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn ablate_mttkrp_writes_json() {
+    fn bench_args(name: &str, nnz: usize, floors: Option<&str>) -> BenchArgs {
         let dir = std::env::temp_dir().join("tenbench-cli-test");
         std::fs::create_dir_all(&dir).unwrap();
-        let json = dir.join("ablate.json");
+        let floors = floors.map(|text| {
+            let path = dir.join(format!("{name}-floors.txt"));
+            std::fs::write(&path, text).unwrap();
+            path
+        });
+        BenchArgs {
+            dataset: "s4".to_string(),
+            nnz,
+            rank: 4,
+            block_bits: 3,
+            reps: 1,
+            threads: Vec::new(),
+            out: Some(dir.join(format!("{name}.json"))),
+            floors,
+        }
+    }
+
+    #[test]
+    fn bench_mttkrp_sched_writes_json() {
         let cfg = SupervisorConfig::default();
-        let r = ablate_mttkrp("s4", 3_000, 4, 3, 1, &[], Some(&json), &cfg).unwrap();
+        let args = bench_args("mttkrp_sched", 3_000, None);
+        let r = bench(&BenchSuite::MttkrpSched, &args, &cfg).unwrap();
         assert!(r.contains("hicoo/scheduled"), "{r}");
         assert!(r.contains("Status"), "{r}");
-        let body = std::fs::read_to_string(&json).unwrap();
+        let body = std::fs::read_to_string(args.out.as_ref().unwrap()).unwrap();
         assert!(body.contains("\"speedup_vs_atomic\""));
         assert!(body.contains("coo/privatized"));
         assert!(body.contains("\"status\": \"ok\""));
+        let unknown = BenchArgs {
+            dataset: "zz99".to_string(),
+            out: None,
+            ..bench_args("mttkrp_sched", 1_000, None)
+        };
         assert!(matches!(
-            ablate_mttkrp("zz99", 1_000, 4, 3, 1, &[], None, &cfg),
+            bench(&BenchSuite::MttkrpSched, &unknown, &cfg),
             Err(CliError::Usage(_))
         ));
     }
 
     #[test]
-    fn ablate_simd_writes_json_and_gates() {
-        let dir = std::env::temp_dir().join("tenbench-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let json = dir.join("ablate_simd.json");
+    fn bench_simd_writes_json_and_gates() {
+        let cfg = SupervisorConfig::default();
+        let simd = BenchSuite::Simd { ranks: vec![4] };
         // A floor of 0.0 always passes: this exercises the gate plumbing
         // without asserting a speedup a 1-core CI box cannot promise.
-        let r = ablate_simd("s4", 3_000, &[4], 3, 1, Some(&json), Some(0.0)).unwrap();
+        let args = bench_args("simd", 3_000, Some("simd mttkrp_hicoo_sched_r4 min 0.0\n"));
+        let r = bench(&simd, &args, &cfg).unwrap();
         assert!(r.contains("Speedup"), "{r}");
-        assert!(r.contains("simd gate: mttkrp/HiCOO @ R=4"), "{r}");
-        let body = std::fs::read_to_string(&json).unwrap();
+        assert!(r.contains("gate simd mttkrp_hicoo_sched_r4: "), "{r}");
+        let body = std::fs::read_to_string(args.out.as_ref().unwrap()).unwrap();
         assert!(body.contains("\"simd_speedup\""), "{body}");
         assert!(body.contains("\"format\": \"VbHiCOO\""), "{body}");
         assert!(body.contains("\"avx2\""), "{body}");
         assert!(body.contains("\"host_cpus\""), "{body}");
         // An impossible floor fails as a usage error (the CI gate path).
+        let args = bench_args("simd", 3_000, Some("simd mttkrp_hicoo_sched_r4 min 1e9\n"));
+        assert!(matches!(bench(&simd, &args, &cfg), Err(CliError::Usage(_))));
+        let unknown = BenchArgs {
+            dataset: "zz99".to_string(),
+            ..bench_args("simd", 1_000, None)
+        };
         assert!(matches!(
-            ablate_simd("s4", 3_000, &[4], 3, 1, None, Some(1.0e9)),
+            bench(&simd, &unknown, &cfg),
             Err(CliError::Usage(_))
         ));
+        let no_ranks = BenchSuite::Simd { ranks: Vec::new() };
+        let args = bench_args("simd", 1_000, None);
         assert!(matches!(
-            ablate_simd("zz99", 1_000, &[4], 3, 1, None, None),
+            bench(&no_ranks, &args, &cfg),
             Err(CliError::Usage(_))
         ));
+    }
+
+    #[test]
+    fn bench_threads_reject_zero_then_sort_and_dedup() {
+        let cfg = SupervisorConfig::default();
+        // The pool shim clamps a zero-thread pool to one, so a row labelled
+        // `threads: 0` would really be measured at one.
+        for suite in [
+            BenchSuite::MttkrpSched,
+            BenchSuite::Convert,
+            BenchSuite::Scale,
+        ] {
+            let args = BenchArgs {
+                threads: vec![2, 0],
+                ..bench_args("threads", 1_000, None)
+            };
+            let err = bench(&suite, &args, &cfg).expect_err(suite.name());
+            assert!(err.to_string().contains("--threads"), "{err}");
+        }
+        let args = BenchArgs {
+            threads: vec![2, 1, 2],
+            ..bench_args("threads", 2_000, None)
+        };
+        bench(&BenchSuite::Convert, &args, &cfg).unwrap();
+        let body = std::fs::read_to_string(args.out.as_ref().unwrap()).unwrap();
+        let doc = obs::json::Value::parse(&body).unwrap();
+        let threads: Vec<f64> = doc
+            .get("rows")
+            .and_then(|r| r.as_arr())
+            .unwrap()
+            .iter()
+            .map(|row| row.get("threads").and_then(|t| t.as_f64()).unwrap())
+            .collect();
+        // The comparator baseline, then one radix row per distinct count.
+        assert_eq!(threads, [1.0, 1.0, 2.0]);
+        let simd_threads = BenchArgs {
+            threads: vec![1],
+            ..bench_args("threads", 1_000, None)
+        };
         assert!(matches!(
-            ablate_simd("s4", 1_000, &[], 3, 1, None, None),
+            bench(&BenchSuite::Simd { ranks: vec![4] }, &simd_threads, &cfg),
             Err(CliError::Usage(_))
         ));
+    }
+
+    #[test]
+    fn bench_rejects_a_malformed_floor_file_before_measuring() {
+        let cfg = SupervisorConfig::default();
+        // The dataset is unknown too: the floor file must fail first.
+        let args = BenchArgs {
+            dataset: "zz99".to_string(),
+            ..bench_args("typo", 1_000, Some("convert convert4 min 2.0\n"))
+        };
+        let err = bench(&BenchSuite::Convert, &args, &cfg).unwrap_err();
+        assert!(
+            err.to_string().contains("unknown key \"convert4\""),
+            "{err}"
+        );
     }
 
     #[test]

@@ -77,11 +77,6 @@ pub fn hicoo_fixture(id: &str, scale: f64) -> KernelFixture {
     }
 }
 
-/// Borrow a factor slice as the `&[&DenseMatrix]` view the kernels take.
-pub fn factor_refs(factors: &[DenseMatrix<f32>]) -> Vec<&DenseMatrix<f32>> {
-    factors.iter().collect()
-}
-
 /// The default dataset selection for quick runs: one small dataset per
 /// family (regular Kronecker, irregular power-law, 4th-order, surrogate
 /// real).
@@ -113,7 +108,6 @@ mod tests {
             assert_eq!(f.rows(), fx.coo.shape().dim(mode) as usize);
             assert_eq!(f.cols(), BENCH_RANK);
         }
-        assert_eq!(factor_refs(&fx.factors).len(), fx.factors.len());
     }
 
     #[test]

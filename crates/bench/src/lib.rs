@@ -7,8 +7,11 @@
 //! * [`format`] — aligned text tables and ASCII log-log plots for terminal
 //!   "figures".
 //! * [`data`] — dataset materialization with an on-disk cache.
-//! * [`suite`] — the measured CPU kernel suite (Figures 4–5) and the
-//!   simulated GPU suite (Figures 6–7), with per-tensor Roofline bounds.
+//! * [`suite`] — the one timing core, the measured CPU kernel suite
+//!   (Figures 4–5) and the simulated GPU suite (Figures 6–7), with
+//!   per-tensor Roofline bounds.
+//! * [`gate`] — the floor-file parser and the one gate checker every
+//!   measuring command enforces its thresholds through.
 //! * [`supervisor`] — watchdog timeouts, panic isolation, strategy
 //!   fallback, and output validation for long sweeps.
 //! * [`metrics`] — observability glue: trace/counter capture lifecycle
@@ -31,6 +34,7 @@ pub mod chaos;
 pub mod cli;
 pub mod data;
 pub mod format;
+pub mod gate;
 pub mod metrics;
 pub mod serve_exec;
 pub mod suite;

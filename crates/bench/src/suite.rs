@@ -9,7 +9,7 @@
 //! fiber partitions, format conversion, output allocation plans) is done
 //! once outside the timed region.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 use tenbench_core::coo::CooTensor;
@@ -107,62 +107,45 @@ impl KernelResult {
     }
 }
 
-/// Average wall time of `f` over `reps` runs, with inner batching for
-/// sub-millisecond kernels so timer resolution does not dominate.
-pub fn time_avg<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    // Calibrate: one untimed warmup that also sizes the inner batch.
-    let t0 = Instant::now();
-    f();
-    let once = t0.elapsed().as_secs_f64();
+/// Serializes counted cells: the obs counters are process-wide, so two
+/// cells measuring at once would each see the other's charges.
+static MEASURE_LOCK: Mutex<()> = Mutex::new(());
+
+/// The one timing loop. `run(n)` makes `n` calls and returns the seconds
+/// spent in their timed sections. One untimed warmup call sizes the inner
+/// batch so sub-millisecond calls are not dominated by timer resolution;
+/// then `reps` batches are timed. Returns `(mean, min)` seconds per call.
+fn timing_loop(reps: usize, mut run: impl FnMut(usize) -> f64) -> (f64, f64) {
+    let once = run(1);
     let batch = if once < 1e-3 {
         ((1e-3 / once.max(1e-9)).ceil() as usize).clamp(1, 10_000)
     } else {
         1
     };
-    let mut total = 0.0;
-    for _ in 0..reps.max(1) {
-        let t = Instant::now();
-        for _ in 0..batch {
-            f();
-        }
-        total += t.elapsed().as_secs_f64() / batch as f64;
+    let reps = reps.max(1);
+    let (mut total, mut best) = (0.0, f64::INFINITY);
+    for _ in 0..reps {
+        let per_call = run(batch) / batch as f64;
+        total += per_call;
+        best = best.min(per_call);
     }
-    total / reps.max(1) as f64
+    (total / reps as f64, best)
 }
 
-/// Best-of-`reps` seconds per call, with the same calibration and batching
-/// as [`time_avg`]. Scheduler jitter only ever *adds* time, so the minimum
-/// of each side is the noise-robust estimator for paired A/B comparisons —
-/// the SIMD ablation gates on a scalar/SIMD ratio, which stays stable under
-/// min-timing even on small shared hosts where the mean wobbles by ±10%.
-pub fn time_min<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    let t0 = Instant::now();
-    f();
-    let once = t0.elapsed().as_secs_f64();
-    let batch = if once < 1e-3 {
-        ((1e-3 / once.max(1e-9)).ceil() as usize).clamp(1, 10_000)
-    } else {
-        1
-    };
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let t = Instant::now();
-        for _ in 0..batch {
-            f();
-        }
-        best = best.min(t.elapsed().as_secs_f64() / batch as f64);
-    }
-    best
-}
-
-/// One timed cell with its instrumented-counter deltas: the average call
-/// time plus the FLOPs, cost-model bytes, and kernel entries charged while
-/// the cell ran. Per-call figures divide by `calls`, which includes the
-/// calibration warmup [`time_avg`] performs.
+/// One timed cell: the mean and the best per-call time, plus the FLOPs,
+/// cost-model bytes, and kernel entries charged while the cell ran (zero
+/// for uncounted cells). Per-call figures divide by `calls`, which
+/// includes the calibration warmup.
+///
+/// Scheduler jitter only ever *adds* time, so `min_secs` is the
+/// noise-robust estimator for paired comparisons (the SIMD, conversion,
+/// and scaling suites); `secs` is the paper's average (§5.1.2).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CellMeasure {
-    /// Average seconds per call (see [`time_avg`]).
+    /// Mean seconds per call over the timed batches.
     pub secs: f64,
+    /// Best seconds per call over the timed batches.
+    pub min_secs: f64,
     /// `kernel.flops` counter delta across the whole cell.
     pub flops: u64,
     /// `kernel.bytes` counter delta across the whole cell.
@@ -172,59 +155,86 @@ pub struct CellMeasure {
 }
 
 impl CellMeasure {
+    fn timing((secs, min_secs): (f64, f64)) -> CellMeasure {
+        CellMeasure {
+            secs,
+            min_secs,
+            ..CellMeasure::default()
+        }
+    }
+
     /// Fold another cell into this one (counters add; times add — divide
-    /// `secs` yourself when averaging over modes).
+    /// `secs`/`min_secs` yourself when averaging over modes).
     pub fn accumulate(&mut self, other: &CellMeasure) {
         self.secs += other.secs;
+        self.min_secs += other.min_secs;
         self.flops += other.flops;
         self.bytes += other.bytes;
         self.calls += other.calls;
     }
 
     /// Place this measurement against a roofline using the per-call
-    /// counter deltas (the achieved-GFLOPS / AI / %-of-roof annotation).
+    /// counter deltas (the achieved-GFLOPS / AI / %-of-roof annotation) at
+    /// the mean call time.
     pub fn annotate(&self, roof: &Roofline) -> tenbench_roofline::model::Achieved {
         let calls = self.calls.max(1);
         roof.annotate(self.flops / calls, self.bytes / calls, self.secs)
     }
 }
 
-/// [`time_avg`] with counter accounting: enables the obs counters for the
-/// duration and reports the `kernel.flops` / `kernel.bytes` /
-/// `kernel.calls` deltas alongside the average call time. The kernels
-/// charge their Table 1 costs on entry, so the deltas are the *measured*
-/// work of exactly the calls this cell made (plus any concurrent charges —
-/// the counters are process-wide).
+/// Time `f` with counter accounting: enables the obs counters and reports
+/// the `kernel.flops` / `kernel.bytes` / `kernel.calls` deltas alongside
+/// the call times. The kernels charge their Table 1 costs on entry, so the
+/// deltas are the *measured* work of exactly the calls this cell made.
+/// Counted cells hold a process-wide lock, so two of them never interleave
+/// deltas; uncounted timing ([`time_cell`]) does not take it, so a whole-
+/// suite timer around counted cells cannot deadlock.
 pub fn measure_cell<F: FnMut()>(reps: usize, f: F) -> CellMeasure {
     use obs::counters as ctr;
+    let _serial = MEASURE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let _scope = ctr::counters_scope();
     let f0 = ctr::FLOPS.get();
     let b0 = ctr::BYTES.get();
     let c0 = ctr::KERNEL_CALLS.get();
-    let secs = time_avg(reps, f);
+    let timing = time_cell(reps, f);
     CellMeasure {
-        secs,
         flops: ctr::FLOPS.get().wrapping_sub(f0),
         bytes: ctr::BYTES.get().wrapping_sub(b0),
         calls: ctr::KERNEL_CALLS.get().wrapping_sub(c0),
+        ..timing
     }
 }
 
-/// [`measure_cell`] timing with [`time_min`] instead of [`time_avg`] — used
-/// by the SIMD ablation, whose regression gate is a scalar/SIMD time ratio.
-pub fn measure_cell_min<F: FnMut()>(reps: usize, f: F) -> CellMeasure {
-    use obs::counters as ctr;
-    let _scope = ctr::counters_scope();
-    let f0 = ctr::FLOPS.get();
-    let b0 = ctr::BYTES.get();
-    let c0 = ctr::KERNEL_CALLS.get();
-    let secs = time_min(reps, f);
-    CellMeasure {
-        secs,
-        flops: ctr::FLOPS.get().wrapping_sub(f0),
-        bytes: ctr::BYTES.get().wrapping_sub(b0),
-        calls: ctr::KERNEL_CALLS.get().wrapping_sub(c0),
-    }
+/// Time `f` without counter accounting (counter fields stay zero).
+pub fn time_cell<F: FnMut()>(reps: usize, mut f: F) -> CellMeasure {
+    CellMeasure::timing(timing_loop(reps, |n| {
+        let t = Instant::now();
+        for _ in 0..n {
+            f();
+        }
+        t.elapsed().as_secs_f64()
+    }))
+}
+
+/// [`time_cell`] with an untimed `prepare` before every call, whose value
+/// the timed `f` consumes (e.g. a fresh copy of a tensor `f` sorts in
+/// place). Whatever `f` returns is dropped after the clock stops.
+pub fn time_prepared<S, R>(
+    reps: usize,
+    mut prepare: impl FnMut() -> S,
+    mut f: impl FnMut(S) -> R,
+) -> CellMeasure {
+    CellMeasure::timing(timing_loop(reps, |n| {
+        let mut secs = 0.0;
+        for _ in 0..n {
+            let input = prepare();
+            let t = Instant::now();
+            let output = f(input);
+            secs += t.elapsed().as_secs_f64();
+            drop(output);
+        }
+        secs
+    }))
 }
 
 /// Build the per-mode factor matrices used by Ttm and Mttkrp.
@@ -245,6 +255,62 @@ pub fn make_partner(x: &CooTensor<f32>) -> CooTensor<f32> {
     y
 }
 
+/// Place a suite's ten cells — Tew, Ts, Ttv, Ttm, Mttkrp, each COO then
+/// HiCOO — against the Table 1 Roofline bounds and the machine's roofline.
+/// Ttv/Ttm/Mttkrp cells are mode-averaged: the summed per-mode times are
+/// divided by the order, while the counter deltas and call counts stay
+/// summed, so per-call figures are mode-averaged too.
+fn suite_rows(
+    x: &CooTensor<f32>,
+    machine: &MachineModel,
+    r: usize,
+    block_bits: u8,
+    cells: [CellMeasure; 10],
+) -> Vec<KernelResult> {
+    let stats = TensorStats::compute(x, block_bits);
+    let (order, m, r) = (x.order(), x.nnz() as u64, r as u64);
+    let (bw, peak, mf) = (
+        machine.ert_dram_gbs,
+        machine.peak_gflops,
+        stats.mean_fibers() as u64,
+    );
+    let (blocks, bsize) = (stats.hicoo_blocks as u64, stats.block_size as u64);
+    let bounds = [
+        bounds::tew_bound(m, bw, peak),
+        bounds::ts_bound(m, bw, peak),
+        bounds::ttv_bound(order, m, mf, bw, peak),
+        bounds::ttm_bound(order, m, mf, r, bw, peak),
+        bounds::mttkrp_coo_bound(order, m, r, bw, peak),
+        bounds::mttkrp_hicoo_bound(order, m, r, blocks, bsize, bw, peak),
+    ];
+    let roof = machine.roofline();
+    cells
+        .into_iter()
+        .enumerate()
+        .map(|(i, mut cell)| {
+            let kernel = Kernel::ALL[i / 2];
+            if matches!(kernel, Kernel::Ttv | Kernel::Ttm | Kernel::Mttkrp) {
+                cell.secs /= order as f64;
+                cell.min_secs /= order as f64;
+            }
+            // Mttkrp is the one kernel whose bound differs by format.
+            let bound = bounds[(i / 2) + usize::from(i == 9)];
+            let a = cell.annotate(&roof);
+            KernelResult {
+                kernel,
+                format: ["COO", "HiCOO"][i % 2],
+                time_s: cell.secs,
+                gflops: a.gflops,
+                oi: bound.oi,
+                bound_gflops: bound.gflops,
+                ai_measured: a.oi,
+                bound_by: a.bound_by,
+                pct_of_roof: a.pct_of_roof,
+            }
+        })
+        .collect()
+}
+
 /// Run the full measured CPU suite on one tensor.
 pub fn run_cpu_suite(
     x: &CooTensor<f32>,
@@ -253,91 +319,29 @@ pub fn run_cpu_suite(
     block_bits: u8,
     reps: usize,
 ) -> Vec<KernelResult> {
-    let stats = TensorStats::compute(x, block_bits);
-    let order = x.order();
-    let m = x.nnz() as u64;
-    let bw = machine.ert_dram_gbs;
-    let peak = machine.peak_gflops;
-
     let y = make_partner(x);
     let hx = HicooTensor::from_coo(x, block_bits).expect("valid block bits");
     let hy = HicooTensor::from_coo(&y, block_bits).expect("valid block bits");
     let factors = make_factors(x, r);
     let frefs: Vec<&DenseMatrix<f32>> = factors.iter().collect();
 
-    let roof = machine.roofline();
-    let mut out = Vec::new();
-    let push = |out: &mut Vec<KernelResult>,
-                kernel: Kernel,
-                format: &'static str,
-                cell: CellMeasure,
-                bound: bounds::KernelBound| {
-        let a = cell.annotate(&roof);
-        out.push(KernelResult {
-            kernel,
-            format,
-            time_s: cell.secs,
-            gflops: a.gflops,
-            oi: bound.oi,
-            bound_gflops: bound.gflops,
-            ai_measured: a.oi,
-            bound_by: a.bound_by,
-            pct_of_roof: a.pct_of_roof,
-        });
-    };
-
     // Tew / Ts: nonzero-parallel value loops.
-    let cell = measure_cell(reps, || {
+    let mut cells = [CellMeasure::default(); 10];
+    cells[0] = measure_cell(reps, || {
         std::hint::black_box(tew::tew_same_pattern(x, &y, EwOp::Add).unwrap());
     });
-    push(
-        &mut out,
-        Kernel::Tew,
-        "COO",
-        cell,
-        bounds::tew_bound(m, bw, peak),
-    );
-    let cell = measure_cell(reps, || {
+    cells[1] = measure_cell(reps, || {
         std::hint::black_box(tew::tew_hicoo_same_pattern(&hx, &hy, EwOp::Add).unwrap());
     });
-    push(
-        &mut out,
-        Kernel::Tew,
-        "HiCOO",
-        cell,
-        bounds::tew_bound(m, bw, peak),
-    );
-
-    let cell = measure_cell(reps, || {
+    cells[2] = measure_cell(reps, || {
         std::hint::black_box(ts::ts(x, 1.000_1, EwOp::Mul).unwrap());
     });
-    push(
-        &mut out,
-        Kernel::Ts,
-        "COO",
-        cell,
-        bounds::ts_bound(m, bw, peak),
-    );
-    let cell = measure_cell(reps, || {
+    cells[3] = measure_cell(reps, || {
         std::hint::black_box(ts::ts_hicoo(&hx, 1.000_1, EwOp::Mul).unwrap());
     });
-    push(
-        &mut out,
-        Kernel::Ts,
-        "HiCOO",
-        cell,
-        bounds::ts_bound(m, bw, peak),
-    );
 
-    // Ttv / Ttm / Mttkrp: averaged over modes; pre-processing untimed.
-    let mean_mf = stats.mean_fibers() as u64;
-    let mut ttv_coo = CellMeasure::default();
-    let mut ttv_hic = CellMeasure::default();
-    let mut ttm_coo = CellMeasure::default();
-    let mut ttm_hic = CellMeasure::default();
-    let mut mtt_coo = CellMeasure::default();
-    let mut mtt_hic = CellMeasure::default();
-    for mode in 0..order {
+    // Ttv / Ttm / Mttkrp: summed over modes; pre-processing untimed.
+    for mode in 0..x.order() {
         let mut xm = x.clone();
         let fp = xm.fibers(mode).expect("mode in range");
         let g = GHicooTensor::from_coo_for_mode(x, block_bits, mode).expect("valid plan");
@@ -345,89 +349,26 @@ pub fn run_cpu_suite(
         let v = DenseVector::from_fn(x.shape().dim(mode) as usize, |i| (i % 100) as f32 * 0.01);
         let u = &factors[mode];
 
-        ttv_coo.accumulate(&measure_cell(reps, || {
+        cells[4].accumulate(&measure_cell(reps, || {
             std::hint::black_box(ttv::ttv_prepared(&xm, &fp, &v, Schedule::default()).unwrap());
         }));
-        ttv_hic.accumulate(&measure_cell(reps, || {
+        cells[5].accumulate(&measure_cell(reps, || {
             std::hint::black_box(ttv::ttv_ghicoo(&g, &gfp, &v, Schedule::default()).unwrap());
         }));
-        ttm_coo.accumulate(&measure_cell(reps, || {
+        cells[6].accumulate(&measure_cell(reps, || {
             std::hint::black_box(ttm::ttm_prepared(&xm, &fp, u, Schedule::default()).unwrap());
         }));
-        ttm_hic.accumulate(&measure_cell(reps, || {
+        cells[7].accumulate(&measure_cell(reps, || {
             std::hint::black_box(ttm::ttm_ghicoo(&g, &gfp, u, Schedule::default()).unwrap());
         }));
-        mtt_coo.accumulate(&measure_cell(reps, || {
+        cells[8].accumulate(&measure_cell(reps, || {
             std::hint::black_box(mttkrp::mttkrp_atomic(x, &frefs, mode).unwrap());
         }));
-        mtt_hic.accumulate(&measure_cell(reps, || {
+        cells[9].accumulate(&measure_cell(reps, || {
             std::hint::black_box(mttkrp::mttkrp_hicoo(&hx, &frefs, mode).unwrap());
         }));
     }
-    // Mode-averaged rows: average the per-call time; the counter deltas
-    // and call counts sum, so per-call figures stay mode-averaged too.
-    let n = order as f64;
-    for c in [
-        &mut ttv_coo,
-        &mut ttv_hic,
-        &mut ttm_coo,
-        &mut ttm_hic,
-        &mut mtt_coo,
-        &mut mtt_hic,
-    ] {
-        c.secs /= n;
-    }
-    push(
-        &mut out,
-        Kernel::Ttv,
-        "COO",
-        ttv_coo,
-        bounds::ttv_bound(order, m, mean_mf, bw, peak),
-    );
-    push(
-        &mut out,
-        Kernel::Ttv,
-        "HiCOO",
-        ttv_hic,
-        bounds::ttv_bound(order, m, mean_mf, bw, peak),
-    );
-    push(
-        &mut out,
-        Kernel::Ttm,
-        "COO",
-        ttm_coo,
-        bounds::ttm_bound(order, m, mean_mf, r as u64, bw, peak),
-    );
-    push(
-        &mut out,
-        Kernel::Ttm,
-        "HiCOO",
-        ttm_hic,
-        bounds::ttm_bound(order, m, mean_mf, r as u64, bw, peak),
-    );
-    push(
-        &mut out,
-        Kernel::Mttkrp,
-        "COO",
-        mtt_coo,
-        bounds::mttkrp_coo_bound(order, m, r as u64, bw, peak),
-    );
-    push(
-        &mut out,
-        Kernel::Mttkrp,
-        "HiCOO",
-        mtt_hic,
-        bounds::mttkrp_hicoo_bound(
-            order,
-            m,
-            r as u64,
-            stats.hicoo_blocks as u64,
-            stats.block_size as u64,
-            bw,
-            peak,
-        ),
-    );
-    out
+    suite_rows(x, machine, r, block_bits, cells)
 }
 
 /// One row of the Mttkrp scheduling ablation: a strategy/format pair with
@@ -447,22 +388,7 @@ pub struct AblationRow {
     pub status: crate::supervisor::RunStatus,
 }
 
-/// Measure every COO Mttkrp strategy plus atomic and scheduled HiCOO
-/// Mttkrp on one tensor, averaged over all modes. Schedule construction is
-/// pre-warmed outside the timed region (the schedule is cached and reused
-/// across calls, matching the suite's untimed pre-processing methodology).
-/// Runs supervised with no wall-clock cap; a panicking or invalid strategy
-/// yields a failed row instead of killing the ablation.
-pub fn run_mttkrp_ablation(
-    x: &CooTensor<f32>,
-    r: usize,
-    block_bits: u8,
-    reps: usize,
-) -> Vec<AblationRow> {
-    run_mttkrp_ablation_supervised(x, r, block_bits, reps, &SupervisorConfig::default())
-}
-
-/// The strategy labels `run_mttkrp_ablation_supervised` reports, in order.
+/// The strategy labels [`run_mttkrp_ablation`] reports, in order.
 pub const ABLATION_STRATEGIES: [&str; 7] = [
     "coo/seq",
     "coo/atomic",
@@ -473,31 +399,24 @@ pub const ABLATION_STRATEGIES: [&str; 7] = [
     "hicoo/scheduled",
 ];
 
-/// Supervised Mttkrp ablation: every cell runs on a watchdogged worker
-/// thread and its output is checksum-validated against the sequential
-/// reference. Each row is a single strategy, so there is no fallback
-/// chain — a strategy that panics, times out, or produces bad numbers is
-/// reported as a failed row (`time_s` infinite, `melem_s` zero) and the
-/// remaining rows still run.
-pub fn run_mttkrp_ablation_supervised(
-    x: &CooTensor<f32>,
-    r: usize,
-    block_bits: u8,
-    reps: usize,
-    cfg: &SupervisorConfig,
-) -> Vec<AblationRow> {
-    run_mttkrp_ablation_supervised_at(x, r, block_bits, reps, None, cfg)
-}
-
-/// [`run_mttkrp_ablation_supervised`] pinned to an explicit pool size.
+/// Measure every COO Mttkrp strategy plus atomic and scheduled HiCOO
+/// Mttkrp on one tensor, averaged over all modes (mean call time).
+/// Schedule construction is pre-warmed outside the timed region (the
+/// schedule is cached and reused across calls, matching the suite's
+/// untimed pre-processing methodology).
 ///
-/// The supervisor runs each trial on a freshly spawned watchdog thread, so
-/// a `with_threads` scope around the whole ablation would not reach the
-/// measured kernels (the pool-size override is thread-local). Instead the
-/// override is installed *inside* each trial closure, on the watchdog
-/// thread itself. `None` keeps whatever pool size the watchdog thread
-/// defaults to.
-pub fn run_mttkrp_ablation_supervised_at(
+/// Every cell runs supervised on a watchdogged worker thread and its output
+/// is checksum-validated against the sequential reference. Each row is a
+/// single strategy, so there is no fallback chain — a strategy that panics,
+/// times out, or produces bad numbers is reported as a failed row
+/// (`time_s` infinite, `melem_s` zero) and the remaining rows still run.
+///
+/// `threads` pins the pool size. The supervisor runs each trial on a
+/// freshly spawned watchdog thread, so a `with_threads` scope around the
+/// whole ablation would not reach the measured kernels (the pool-size
+/// override is thread-local); the override is installed *inside* each
+/// trial closure instead. `None` keeps the watchdog thread's default.
+pub fn run_mttkrp_ablation(
     x: &CooTensor<f32>,
     r: usize,
     block_bits: u8,
@@ -514,15 +433,11 @@ pub fn run_mttkrp_ablation_supervised_at(
         HicooAtomic,
         HicooSched,
     }
-    let variants: [(&str, Variant); 7] = [
-        ("coo/seq", Variant::Coo(MttkrpStrategy::Seq)),
-        ("coo/atomic", Variant::Coo(MttkrpStrategy::Atomic)),
-        ("coo/privatized", Variant::Coo(MttkrpStrategy::Privatized)),
-        ("coo/row_locked", Variant::Coo(MttkrpStrategy::RowLocked)),
-        ("coo/scheduled", Variant::Coo(MttkrpStrategy::Scheduled)),
-        ("hicoo/atomic", Variant::HicooAtomic),
-        ("hicoo/scheduled", Variant::HicooSched),
-    ];
+    use MttkrpStrategy::*;
+    let variants = [Seq, Atomic, Privatized, RowLocked, Scheduled]
+        .map(Variant::Coo)
+        .into_iter()
+        .chain([Variant::HicooAtomic, Variant::HicooSched]);
 
     let order = x.order();
     let m = x.nnz() as u64;
@@ -550,9 +465,9 @@ pub fn run_mttkrp_ablation_supervised_at(
     {
         Ok(v) => v,
         Err(e) => {
-            return variants
+            return ABLATION_STRATEGIES
                 .iter()
-                .map(|(name, _)| AblationRow {
+                .map(|name| AblationRow {
                     name: name.to_string(),
                     time_s: f64::INFINITY,
                     melem_s: 0.0,
@@ -563,7 +478,7 @@ pub fn run_mttkrp_ablation_supervised_at(
     };
 
     let mut rows = Vec::new();
-    for (name, variant) in variants {
+    for (name, variant) in ABLATION_STRATEGIES.into_iter().zip(variants) {
         let mut total = 0.0;
         let mut status = RunStatus::Ok;
         for mode in 0..order {
@@ -582,9 +497,10 @@ pub fn run_mttkrp_ablation_supervised_at(
                 };
                 let body = || {
                     let out = run_once()?;
-                    let secs = time_avg(reps, || {
+                    let secs = time_cell(reps, || {
                         std::hint::black_box(run_once().unwrap());
-                    });
+                    })
+                    .secs;
                     Ok((secs, out))
                 };
                 match threads {
@@ -652,7 +568,7 @@ pub struct SimdAblationRow {
     /// The backend the cell was forced to.
     pub backend: KernelBackend,
     /// Best-of-reps kernel time in seconds (mode-averaged where
-    /// applicable; see [`time_min`]).
+    /// applicable; see [`CellMeasure::min_secs`]).
     pub time_s: f64,
     /// Achieved GFLOPS from the instrumented counters.
     pub gflops: f64,
@@ -702,14 +618,15 @@ pub fn run_simd_ablation(
                 out: &mut Vec<SimdAblationRow>,
                 body: &mut dyn FnMut(KernelBackend)| {
         for backend in backends {
-            let c = measure_cell_min(reps, || body(backend));
+            let c = measure_cell(reps, || body(backend));
             let modes = if matches!(kernel, Kernel::Ttv | Kernel::Ttm | Kernel::Mttkrp) {
                 order as f64
             } else {
                 1.0
             };
+            // The paired ratio gates on the best call time.
             let c = CellMeasure {
-                secs: c.secs / modes,
+                secs: c.min_secs / modes,
                 ..c
             };
             let a = c.annotate(&roof);
@@ -798,152 +715,49 @@ pub fn run_simd_ablation(
     out
 }
 
-/// Run the full simulated GPU suite on one tensor.
+/// Run the full simulated GPU suite on one tensor. Simulated launches
+/// report modeled FLOPs and DRAM bytes directly, so the annotation uses
+/// the simulator's own accounting in place of the CPU counters.
 pub fn run_gpu_suite(
     x: &CooTensor<f32>,
     dev: &DeviceSpec,
     r: usize,
     block_bits: u8,
 ) -> Vec<KernelResult> {
-    let stats = TensorStats::compute(x, block_bits);
-    let machine = MachineModel::from_device(dev);
-    let order = x.order();
-    let m = x.nnz() as u64;
-    let bw = machine.ert_dram_gbs;
-    let peak = machine.peak_gflops;
-
     let y = make_partner(x);
     let hx = HicooTensor::from_coo(x, block_bits).expect("valid block bits");
     let hy = HicooTensor::from_coo(&y, block_bits).expect("valid block bits");
     let factors = make_factors(x, r);
     let frefs: Vec<&DenseMatrix<f32>> = factors.iter().collect();
-
-    // Simulated launches report modeled FLOPs and DRAM bytes directly, so
-    // the annotation uses the simulator's own accounting in place of the
-    // CPU counters.
-    let roof = machine.roofline();
-    let cell_of = |s: &tenbench_gpusim::report::GpuKernelStats| CellMeasure {
+    let cell_of = |s: tenbench_gpusim::report::GpuKernelStats| CellMeasure {
         secs: s.time_s,
+        min_secs: s.time_s,
         flops: s.flops,
         bytes: s.dram_bytes,
         calls: 1,
     };
-    let mut out = Vec::new();
-    let mut push =
-        |kernel: Kernel, format: &'static str, cell: CellMeasure, bound: bounds::KernelBound| {
-            let a = cell.annotate(&roof);
-            out.push(KernelResult {
-                kernel,
-                format,
-                time_s: cell.secs,
-                gflops: a.gflops,
-                oi: bound.oi,
-                bound_gflops: bound.gflops,
-                ai_measured: a.oi,
-                bound_by: a.bound_by,
-                pct_of_roof: a.pct_of_roof,
-            });
-        };
 
-    let (_, s) = gpuk::tew_coo_gpu(dev, x, &y, EwOp::Add).unwrap();
-    push(
-        Kernel::Tew,
-        "COO",
-        cell_of(&s),
-        bounds::tew_bound(m, bw, peak),
-    );
-    let (_, s) = gpuk::tew_hicoo_gpu(dev, &hx, &hy, EwOp::Add).unwrap();
-    push(
-        Kernel::Tew,
-        "HiCOO",
-        cell_of(&s),
-        bounds::tew_bound(m, bw, peak),
-    );
-
-    let (_, s) = gpuk::ts_coo_gpu(dev, x, 1.000_1, EwOp::Mul).unwrap();
-    push(
-        Kernel::Ts,
-        "COO",
-        cell_of(&s),
-        bounds::ts_bound(m, bw, peak),
-    );
-    let (_, s) = gpuk::ts_hicoo_gpu(dev, &hx, 1.000_1, EwOp::Mul).unwrap();
-    push(
-        Kernel::Ts,
-        "HiCOO",
-        cell_of(&s),
-        bounds::ts_bound(m, bw, peak),
-    );
-
-    let mean_mf = stats.mean_fibers() as u64;
-    let mut ttv_c = [CellMeasure::default(); 2];
-    let mut ttm_c = [CellMeasure::default(); 2];
-    let mut mtt_c = [CellMeasure::default(); 2];
-    for mode in 0..order {
+    let mut cells = [CellMeasure::default(); 10];
+    cells[0] = cell_of(gpuk::tew_coo_gpu(dev, x, &y, EwOp::Add).unwrap().1);
+    cells[1] = cell_of(gpuk::tew_hicoo_gpu(dev, &hx, &hy, EwOp::Add).unwrap().1);
+    cells[2] = cell_of(gpuk::ts_coo_gpu(dev, x, 1.000_1, EwOp::Mul).unwrap().1);
+    cells[3] = cell_of(gpuk::ts_hicoo_gpu(dev, &hx, 1.000_1, EwOp::Mul).unwrap().1);
+    for mode in 0..x.order() {
         let v = DenseVector::from_fn(x.shape().dim(mode) as usize, |i| (i % 100) as f32 * 0.01);
         let u = &factors[mode];
-        let (_, s) = gpuk::ttv_coo_gpu(dev, x, &v, mode).unwrap();
-        ttv_c[0].accumulate(&cell_of(&s));
-        let (_, s) = gpuk::ttv_hicoo_gpu(dev, &hx, &v, mode).unwrap();
-        ttv_c[1].accumulate(&cell_of(&s));
-        let (_, s) = gpuk::ttm_coo_gpu(dev, x, u, mode).unwrap();
-        ttm_c[0].accumulate(&cell_of(&s));
-        let (_, s) = gpuk::ttm_hicoo_gpu(dev, &hx, u, mode).unwrap();
-        ttm_c[1].accumulate(&cell_of(&s));
-        let (_, s) = gpuk::mttkrp_coo_gpu(dev, x, &frefs, mode).unwrap();
-        mtt_c[0].accumulate(&cell_of(&s));
-        let (_, s) = gpuk::mttkrp_hicoo_gpu(dev, &hx, &frefs, mode).unwrap();
-        mtt_c[1].accumulate(&cell_of(&s));
+        let launches = [
+            gpuk::ttv_coo_gpu(dev, x, &v, mode).unwrap().1,
+            gpuk::ttv_hicoo_gpu(dev, &hx, &v, mode).unwrap().1,
+            gpuk::ttm_coo_gpu(dev, x, u, mode).unwrap().1,
+            gpuk::ttm_hicoo_gpu(dev, &hx, u, mode).unwrap().1,
+            gpuk::mttkrp_coo_gpu(dev, x, &frefs, mode).unwrap().1,
+            gpuk::mttkrp_hicoo_gpu(dev, &hx, &frefs, mode).unwrap().1,
+        ];
+        for (cell, s) in cells[4..].iter_mut().zip(launches) {
+            cell.accumulate(&cell_of(s));
+        }
     }
-    let n = order as f64;
-    for c in ttv_c.iter_mut().chain(&mut ttm_c).chain(&mut mtt_c) {
-        c.secs /= n;
-    }
-    push(
-        Kernel::Ttv,
-        "COO",
-        ttv_c[0],
-        bounds::ttv_bound(order, m, mean_mf, bw, peak),
-    );
-    push(
-        Kernel::Ttv,
-        "HiCOO",
-        ttv_c[1],
-        bounds::ttv_bound(order, m, mean_mf, bw, peak),
-    );
-    push(
-        Kernel::Ttm,
-        "COO",
-        ttm_c[0],
-        bounds::ttm_bound(order, m, mean_mf, r as u64, bw, peak),
-    );
-    push(
-        Kernel::Ttm,
-        "HiCOO",
-        ttm_c[1],
-        bounds::ttm_bound(order, m, mean_mf, r as u64, bw, peak),
-    );
-    push(
-        Kernel::Mttkrp,
-        "COO",
-        mtt_c[0],
-        bounds::mttkrp_coo_bound(order, m, r as u64, bw, peak),
-    );
-    push(
-        Kernel::Mttkrp,
-        "HiCOO",
-        mtt_c[1],
-        bounds::mttkrp_hicoo_bound(
-            order,
-            m,
-            r as u64,
-            stats.hicoo_blocks as u64,
-            stats.block_size as u64,
-            bw,
-            peak,
-        ),
-    );
-    out
+    suite_rows(x, &MachineModel::from_device(dev), r, block_bits, cells)
 }
 
 #[cfg(test)]
@@ -1006,7 +820,7 @@ mod tests {
     #[test]
     fn mttkrp_ablation_covers_all_strategies() {
         let x = small_tensor();
-        let rows = run_mttkrp_ablation(&x, 8, 4, 1);
+        let rows = run_mttkrp_ablation(&x, 8, 4, 1, None, &SupervisorConfig::default());
         let names: Vec<&str> = rows.iter().map(|r| r.name.as_str()).collect();
         assert_eq!(
             names,
@@ -1056,12 +870,34 @@ mod tests {
     }
 
     #[test]
-    fn time_avg_batches_fast_functions() {
+    fn time_cell_batches_fast_functions() {
         let mut n = 0u64;
-        let t = time_avg(2, || {
+        let t = time_cell(2, || {
             n += 1;
         });
-        assert!(t >= 0.0);
+        assert!(t.secs >= 0.0);
+        assert!(t.min_secs <= t.secs);
         assert!(n > 2); // batching kicked in
+        assert_eq!((t.flops, t.bytes, t.calls), (0, 0, 0), "uncounted");
+    }
+
+    #[test]
+    fn time_prepared_keeps_setup_out_of_the_timed_section() {
+        let sleep = |ms| std::thread::sleep(std::time::Duration::from_millis(ms));
+        let (mut prepared, mut timed) = (0usize, 0usize);
+        let t = time_prepared(
+            3,
+            || {
+                prepared += 1;
+                sleep(20);
+            },
+            |()| {
+                timed += 1;
+                sleep(2);
+            },
+        );
+        // Slower than the batching threshold: warmup plus one call per rep.
+        assert_eq!((prepared, timed), (4, 4));
+        assert!(t.min_secs >= 2e-3 && t.secs < 15e-3, "{t:?}");
     }
 }

@@ -1,9 +1,11 @@
-//! A minimal JSON parser and a chrome-trace schema checker.
+//! A minimal JSON parser, an object builder, and a chrome-trace schema
+//! checker.
 //!
 //! The parser exists for two consumers: the chrome-trace validator used
 //! by tests and CI (every `B` must have a matching `E`, pids/tids must be
 //! consistent), and the `tenbench report` subcommand, which re-reads
-//! sweep/trace artifacts emitted by the suite's hand-rolled writers.
+//! sweep/trace artifacts. [`Obj`] is the builder every `BENCH_*.json`
+//! artifact is written through.
 
 use std::collections::HashMap;
 
@@ -325,6 +327,70 @@ pub fn json_f64_fixed(v: f64, decimals: usize) -> String {
     }
 }
 
+/// A JSON object under construction. Members render in insertion order;
+/// floats go through [`json_f64`] / [`json_f64_fixed`] (non-finite becomes
+/// `null`), strings are escaped, and [`Obj::raw`] embeds an already
+/// rendered value (a nested report, an array).
+#[derive(Clone, Debug, Default)]
+pub struct Obj(String);
+
+impl Obj {
+    /// An empty object.
+    pub fn new() -> Obj {
+        Obj::default()
+    }
+
+    /// Append `key` with a pre-rendered JSON value.
+    pub fn raw(mut self, key: &str, json: impl AsRef<str>) -> Obj {
+        if !self.0.is_empty() {
+            self.0.push_str(", ");
+        }
+        self.0
+            .push_str(&format!("\"{}\": {}", escape_json(key), json.as_ref()));
+        self
+    }
+
+    /// Append a string member.
+    pub fn str(self, key: &str, v: &str) -> Obj {
+        self.raw(key, format!("\"{}\"", escape_json(v)))
+    }
+
+    /// Append a float member in exact `{:e}` form.
+    pub fn num(self, key: &str, v: f64) -> Obj {
+        self.raw(key, json_f64(v))
+    }
+
+    /// Append a float member with fixed decimals.
+    pub fn fixed(self, key: &str, v: f64, decimals: usize) -> Obj {
+        self.raw(key, json_f64_fixed(v, decimals))
+    }
+
+    /// Append an integer member.
+    pub fn int(self, key: &str, v: u64) -> Obj {
+        self.raw(key, v.to_string())
+    }
+
+    /// Append a boolean member.
+    pub fn bool(self, key: &str, v: bool) -> Obj {
+        self.raw(key, v.to_string())
+    }
+
+    /// Append an array of pre-rendered JSON values.
+    pub fn arr(self, key: &str, items: impl IntoIterator<Item = String>) -> Obj {
+        self.raw(key, array(items))
+    }
+
+    /// The rendered object.
+    pub fn build(self) -> String {
+        format!("{{{}}}", self.0)
+    }
+}
+
+/// Render pre-rendered JSON values as an array.
+pub fn array(items: impl IntoIterator<Item = String>) -> String {
+    format!("[{}]", items.into_iter().collect::<Vec<_>>().join(", "))
+}
+
 /// Escape a string for embedding in a JSON string literal.
 pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
@@ -486,5 +552,38 @@ mod tests {
             assert_eq!(Value::parse(&json_f64(v)), Ok(Value::Null));
         }
         assert_eq!(json_f64_fixed(1.23456, 3), "1.235");
+    }
+
+    #[test]
+    fn obj_builder_renders_parseable_json() {
+        let inner = Obj::new().int("n", 3).build();
+        let json = Obj::new()
+            .str("name", "a \"quoted\"\nname")
+            .num("nan", f64::NAN)
+            .fixed("x", 2.0 / 3.0, 3)
+            .bool("ok", true)
+            .raw("inner", &inner)
+            .arr("rows", [inner.clone(), "null".to_string()])
+            .build();
+        let v = Value::parse(&json).unwrap_or_else(|e| panic!("{e}: {json}"));
+        assert_eq!(
+            v.get("name").and_then(Value::as_str),
+            Some("a \"quoted\"\nname")
+        );
+        assert_eq!(v.get("nan"), Some(&Value::Null));
+        assert_eq!(v.get("x").and_then(Value::as_f64), Some(0.667));
+        assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true));
+        assert_eq!(
+            v.get("inner")
+                .and_then(|o| o.get("n"))
+                .and_then(Value::as_f64),
+            Some(3.0)
+        );
+        assert_eq!(
+            v.get("rows").and_then(Value::as_arr).map(<[_]>::len),
+            Some(2)
+        );
+        assert_eq!(Obj::new().build(), "{}");
+        assert_eq!(array(Vec::new()), "[]");
     }
 }
