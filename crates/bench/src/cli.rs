@@ -388,18 +388,13 @@ pub fn run_kernel_on(
             let strat = parse_strategy(strategy)?;
             let t = if hicoo {
                 let hx = HicooTensor::from_coo(x, block_bits)?;
-                let run: Box<dyn Fn() -> DenseMatrix<f32>> = match strat {
-                    mttkrp::MttkrpStrategy::Seq => {
-                        Box::new(|| mttkrp::mttkrp_hicoo_seq(&hx, &frefs, mode).unwrap())
-                    }
-                    mttkrp::MttkrpStrategy::Scheduled => {
-                        let _ = tenbench_core::sched::mode_schedule(&hx, mode); // untimed build
-                        Box::new(|| mttkrp::mttkrp_hicoo_sched(&hx, &frefs, mode).unwrap())
-                    }
-                    _ => Box::new(|| mttkrp::mttkrp_hicoo(&hx, &frefs, mode).unwrap()),
-                };
+                if strat == mttkrp::MttkrpStrategy::Scheduled {
+                    let _ = tenbench_core::sched::mode_schedule(&hx, mode); // untimed build
+                }
                 time_cell(reps, || {
-                    std::hint::black_box(run());
+                    std::hint::black_box(
+                        mttkrp::mttkrp_hicoo_with(&hx, &frefs, mode, strat).unwrap(),
+                    );
                 })
                 .secs
             } else {

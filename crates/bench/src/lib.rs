@@ -4,7 +4,7 @@
 //! tables and figures from this repository (see the `harness` binary), plus
 //! shared plumbing for the Criterion micro-benchmarks.
 //!
-//! * [`format`] — aligned text tables and ASCII log-log plots for terminal
+//! * [`format`](mod@format) — aligned text tables and ASCII log-log plots for terminal
 //!   "figures".
 //! * [`data`] — dataset materialization with an on-disk cache.
 //! * [`suite`] — the one timing core, the measured CPU kernel suite

@@ -1,6 +1,6 @@
 //! Glue between the dependency-free `tenbench-obs` crate and the rest of
 //! the harness: capture lifecycle (spans + counters + pool telemetry in
-//! one switch) and the conversion from the rayon shim's [`PoolStats`] to
+//! one switch) and the conversion from the rayon shim's [`PoolStats`](rayon::PoolStats) to
 //! the report's [`PoolSnapshot`].
 //!
 //! `tenbench-obs` cannot depend on the pool (the pool instruments itself

@@ -17,7 +17,7 @@ use tenbench_core::dense::{DenseMatrix, DenseVector};
 use tenbench_core::hicoo::{GHicooTensor, HicooTensor, VbHicooTensor};
 use tenbench_core::kernels::{mttkrp, tew, ts, ttm, ttv, EwOp, Kernel};
 use tenbench_core::par::Schedule;
-use tenbench_core::simd::KernelBackend;
+use tenbench_core::simd::{self, KernelBackend};
 use tenbench_gen::TensorStats;
 use tenbench_gpusim::device::DeviceSpec;
 use tenbench_gpusim::kernels as gpuk;
@@ -424,20 +424,14 @@ pub fn run_mttkrp_ablation(
     threads: Option<usize>,
     cfg: &SupervisorConfig,
 ) -> Vec<AblationRow> {
-    use tenbench_core::kernels::mttkrp::MttkrpStrategy;
+    use tenbench_core::kernels::mttkrp::MttkrpStrategy::*;
     use tenbench_core::sched;
 
-    #[derive(Clone, Copy)]
-    enum Variant {
-        Coo(MttkrpStrategy),
-        HicooAtomic,
-        HicooSched,
-    }
-    use MttkrpStrategy::*;
+    // (HiCOO?, strategy) per row of ABLATION_STRATEGIES.
     let variants = [Seq, Atomic, Privatized, RowLocked, Scheduled]
-        .map(Variant::Coo)
+        .map(|s| (false, s))
         .into_iter()
-        .chain([Variant::HicooAtomic, Variant::HicooSched]);
+        .chain([(true, Atomic), (true, Scheduled)]);
 
     let order = x.order();
     let m = x.nnz() as u64;
@@ -450,7 +444,7 @@ pub fn run_mttkrp_ablation(
     let warm = || {
         for mode in 0..order {
             let _ = sched::row_schedule(x, mode);
-            let _ = sched::mode_schedule(&hx, mode);
+            let _ = sched::mode_schedule(&*hx, mode);
         }
     };
     match threads {
@@ -478,7 +472,7 @@ pub fn run_mttkrp_ablation(
     };
 
     let mut rows = Vec::new();
-    for (name, variant) in ABLATION_STRATEGIES.into_iter().zip(variants) {
+    for (name, (hicoo, strategy)) in ABLATION_STRATEGIES.into_iter().zip(variants) {
         let mut total = 0.0;
         let mut status = RunStatus::Ok;
         for mode in 0..order {
@@ -488,10 +482,10 @@ pub fn run_mttkrp_ablation(
             let trial = Trial::new(name, move || {
                 let frefs: Vec<&DenseMatrix<f32>> = factors.iter().collect();
                 let run_once = || {
-                    match variant {
-                        Variant::Coo(s) => mttkrp::mttkrp_with(&xa, &frefs, mode, s),
-                        Variant::HicooAtomic => mttkrp::mttkrp_hicoo(&hx, &frefs, mode),
-                        Variant::HicooSched => mttkrp::mttkrp_hicoo_sched(&hx, &frefs, mode),
+                    if hicoo {
+                        mttkrp::mttkrp_hicoo_with(&*hx, &frefs, mode, strategy)
+                    } else {
+                        mttkrp::mttkrp_with(&xa, &frefs, mode, strategy)
                     }
                     .map_err(|e| e.to_string())
                 };
@@ -607,7 +601,7 @@ pub fn run_simd_ablation(
     for mode in 0..order {
         let _ = sched::row_schedule(x, mode);
         let _ = sched::mode_schedule(&hx, mode);
-        let _ = sched::vb_mode_schedule(&vx, mode);
+        let _ = sched::mode_schedule(&vx, mode);
     }
 
     let mut out: Vec<SimdAblationRow> = Vec::new();
@@ -616,9 +610,9 @@ pub fn run_simd_ablation(
                 format: &'static str,
                 rank: usize,
                 out: &mut Vec<SimdAblationRow>,
-                body: &mut dyn FnMut(KernelBackend)| {
+                body: &mut dyn FnMut()| {
         for backend in backends {
-            let c = measure_cell(reps, || body(backend));
+            let c = measure_cell(reps, || simd::with_backend(backend, &mut *body));
             let modes = if matches!(kernel, Kernel::Ttv | Kernel::Ttm | Kernel::Mttkrp) {
                 order as f64
             } else {
@@ -644,35 +638,35 @@ pub fn run_simd_ablation(
     };
 
     // Rank-free kernels.
-    cell(Kernel::Tew, "COO", 0, &mut out, &mut |b| {
-        std::hint::black_box(tew::tew_same_pattern_backend(x, &y, EwOp::Add, b).unwrap());
+    cell(Kernel::Tew, "COO", 0, &mut out, &mut || {
+        std::hint::black_box(tew::tew_same_pattern(x, &y, EwOp::Add).unwrap());
     });
-    cell(Kernel::Tew, "HiCOO", 0, &mut out, &mut |b| {
-        std::hint::black_box(tew::tew_hicoo_same_pattern_backend(&hx, &hy, EwOp::Add, b).unwrap());
+    cell(Kernel::Tew, "HiCOO", 0, &mut out, &mut || {
+        std::hint::black_box(tew::tew_hicoo_same_pattern(&hx, &hy, EwOp::Add).unwrap());
     });
-    cell(Kernel::Tew, "VbHiCOO", 0, &mut out, &mut |b| {
-        std::hint::black_box(tew::tew_vb_same_pattern_backend(&vx, &vy, EwOp::Add, b).unwrap());
+    cell(Kernel::Tew, "VbHiCOO", 0, &mut out, &mut || {
+        std::hint::black_box(tew::tew_vb_same_pattern(&vx, &vy, EwOp::Add).unwrap());
     });
-    cell(Kernel::Ts, "COO", 0, &mut out, &mut |b| {
-        std::hint::black_box(ts::ts_backend(x, 1.000_1, EwOp::Mul, b).unwrap());
+    cell(Kernel::Ts, "COO", 0, &mut out, &mut || {
+        std::hint::black_box(ts::ts(x, 1.000_1, EwOp::Mul).unwrap());
     });
-    cell(Kernel::Ts, "HiCOO", 0, &mut out, &mut |b| {
-        std::hint::black_box(ts::ts_hicoo_backend(&hx, 1.000_1, EwOp::Mul, b).unwrap());
+    cell(Kernel::Ts, "HiCOO", 0, &mut out, &mut || {
+        std::hint::black_box(ts::ts_hicoo(&hx, 1.000_1, EwOp::Mul).unwrap());
     });
-    cell(Kernel::Ts, "VbHiCOO", 0, &mut out, &mut |b| {
-        std::hint::black_box(ts::ts_vb_backend(&vx, 1.000_1, EwOp::Mul, b).unwrap());
+    cell(Kernel::Ts, "VbHiCOO", 0, &mut out, &mut || {
+        std::hint::black_box(ts::ts_vb(&vx, 1.000_1, EwOp::Mul).unwrap());
     });
     let vecs: Vec<DenseVector<f32>> = (0..order)
         .map(|mode| DenseVector::from_fn(x.shape().dim(mode) as usize, |i| (i % 100) as f32 * 0.01))
         .collect();
-    cell(Kernel::Ttv, "COO", 0, &mut out, &mut |b| {
+    cell(Kernel::Ttv, "COO", 0, &mut out, &mut || {
         for (mode, v) in vecs.iter().enumerate() {
-            std::hint::black_box(ttv::ttv_backend(x, v, mode, b).unwrap());
+            std::hint::black_box(ttv::ttv(x, v, mode).unwrap());
         }
     });
-    cell(Kernel::Ttv, "HiCOO", 0, &mut out, &mut |b| {
+    cell(Kernel::Ttv, "HiCOO", 0, &mut out, &mut || {
         for (mode, v) in vecs.iter().enumerate() {
-            std::hint::black_box(ttv::ttv_hicoo_sched_backend(&hx, v, mode, b).unwrap());
+            std::hint::black_box(ttv::ttv_hicoo_sched(&hx, v, mode).unwrap());
         }
     });
 
@@ -680,35 +674,29 @@ pub fn run_simd_ablation(
     for &r in ranks {
         let factors = make_factors(x, r);
         let frefs: Vec<&DenseMatrix<f32>> = factors.iter().collect();
-        cell(Kernel::Ttm, "COO", r, &mut out, &mut |b| {
+        cell(Kernel::Ttm, "COO", r, &mut out, &mut || {
             for mode in 0..order {
-                std::hint::black_box(ttm::ttm_backend(x, frefs[mode], mode, b).unwrap());
+                std::hint::black_box(ttm::ttm(x, frefs[mode], mode).unwrap());
             }
         });
-        cell(Kernel::Ttm, "HiCOO", r, &mut out, &mut |b| {
+        cell(Kernel::Ttm, "HiCOO", r, &mut out, &mut || {
             for mode in 0..order {
-                std::hint::black_box(
-                    ttm::ttm_hicoo_sched_backend(&hx, frefs[mode], mode, b).unwrap(),
-                );
+                std::hint::black_box(ttm::ttm_hicoo_sched(&hx, frefs[mode], mode).unwrap());
             }
         });
-        cell(Kernel::Mttkrp, "COO", r, &mut out, &mut |b| {
+        cell(Kernel::Mttkrp, "COO", r, &mut out, &mut || {
             for mode in 0..order {
-                std::hint::black_box(mttkrp::mttkrp_sched_backend(x, &frefs, mode, b).unwrap());
+                std::hint::black_box(mttkrp::mttkrp_sched(x, &frefs, mode).unwrap());
             }
         });
-        cell(Kernel::Mttkrp, "HiCOO", r, &mut out, &mut |b| {
+        cell(Kernel::Mttkrp, "HiCOO", r, &mut out, &mut || {
             for mode in 0..order {
-                std::hint::black_box(
-                    mttkrp::mttkrp_hicoo_sched_backend(&hx, &frefs, mode, b).unwrap(),
-                );
+                std::hint::black_box(mttkrp::mttkrp_hicoo_sched(&hx, &frefs, mode).unwrap());
             }
         });
-        cell(Kernel::Mttkrp, "VbHiCOO", r, &mut out, &mut |b| {
+        cell(Kernel::Mttkrp, "VbHiCOO", r, &mut out, &mut || {
             for mode in 0..order {
-                std::hint::black_box(
-                    mttkrp::mttkrp_vb_sched_backend(&vx, &frefs, mode, b).unwrap(),
-                );
+                std::hint::black_box(mttkrp::mttkrp_hicoo_sched(&vx, &frefs, mode).unwrap());
             }
         });
     }

@@ -388,9 +388,10 @@ impl SweepReport {
 pub struct Trial<T> {
     /// Strategy label for reports.
     pub strategy: String,
-    /// Kernel backend this trial pins, when it pins one. Only a report
-    /// label — the closure itself decides what backend to pass to the
-    /// kernel.
+    /// Kernel backend this trial pins, when it pins one: [`supervise`]
+    /// installs it ([`simd::with_backend`]) on the watchdog thread that
+    /// runs the closure, and records it per attempt and in the report.
+    /// `None` relays the calling thread's backend.
     pub backend: Option<KernelBackend>,
     /// The work. `Fn` (not `FnOnce`) so retries can re-run it.
     pub run: Arc<dyn Fn() -> Result<T, String> + Send + Sync>,
@@ -409,9 +410,9 @@ impl<T> Trial<T> {
         }
     }
 
-    /// Build a trial that pins a kernel backend (recorded per attempt and
-    /// in the accepted report).
-    pub fn with_backend(
+    /// Build a trial that runs under a pinned kernel backend (installed by
+    /// [`supervise`], recorded per attempt and in the accepted report).
+    pub fn pinned(
         strategy: impl Into<String>,
         backend: KernelBackend,
         run: impl Fn() -> Result<T, String> + Send + Sync + 'static,
@@ -450,25 +451,26 @@ enum Guarded<T> {
     TimedOut,
 }
 
-/// Run one closure on a worker thread under `catch_unwind` with a
-/// wall-clock watchdog. On timeout the worker is detached, not killed —
-/// Rust offers no safe thread cancellation — so a hung kernel keeps its
-/// CPU until it returns, but the supervisor (and the sweep) moves on.
-fn run_guarded<T: Send + 'static>(
-    run: Arc<dyn Fn() -> Result<T, String> + Send + Sync>,
-    max_seconds: f64,
-) -> Guarded<T> {
+/// Run one trial on a worker thread, under its pinned backend, under
+/// `catch_unwind` with a wall-clock watchdog. On timeout the worker is
+/// detached, not killed — Rust offers no safe thread cancellation — so a
+/// hung kernel keeps its CPU until it returns, but the supervisor (and the
+/// sweep) moves on.
+fn run_guarded<T: Send + 'static>(trial: &Trial<T>, max_seconds: f64) -> Guarded<T> {
+    let run = trial.run.clone();
+    let backend = trial.backend.unwrap_or_else(simd::current_backend);
     let (tx, rx) = mpsc::channel();
     // The watchdog worker is a fresh thread, and thread-locals do not
     // inherit across spawns: relay the caller's trace context explicitly
-    // so the attempt's spans and flight events charge to the request.
+    // so the attempt's spans and flight events charge to the request, and
+    // install the trial's backend there.
     let ctx = obs::ctx::current();
     let spawned = std::thread::Builder::new()
         .name("tenbench-supervised".into())
         .spawn(move || {
             let _ctx_guard = obs::ctx::install_opt(ctx);
             let t0 = Instant::now();
-            let result = catch_unwind(AssertUnwindSafe(|| run()));
+            let result = catch_unwind(AssertUnwindSafe(|| simd::with_backend(backend, || run())));
             let dt = t0.elapsed().as_secs_f64();
             // The receiver is gone iff the watchdog already fired.
             let _ = tx.send((result, dt));
@@ -528,7 +530,7 @@ pub fn supervise<T: Send + 'static>(
             obs::flight::note(obs::flight::FlightKind::ExecBegin, ti as u64);
             let guarded = {
                 let _span = obs::span!("supervisor.attempt");
-                run_guarded(trial.run.clone(), cfg.max_seconds)
+                run_guarded(trial, cfg.max_seconds)
             };
             // Validation is timed on its own: the attempt's `time_s` is
             // the guarded closure alone, so checksum digests never leak
@@ -704,13 +706,13 @@ pub fn validate_matrix(
 /// was the one requested).
 pub fn mttkrp_chain(requested: MttkrpStrategy) -> Vec<MttkrpStrategy> {
     use MttkrpStrategy::*;
-    let mut chain = vec![requested];
-    for s in [Scheduled, Atomic, Privatized, Seq] {
-        if !chain.contains(&s) {
-            chain.push(s);
-        }
-    }
-    chain
+    rotated(requested, &[Scheduled, Atomic, Privatized, Seq])
+}
+
+/// `first`, then the strategies of `order` other than `first`.
+fn rotated(first: MttkrpStrategy, order: &[MttkrpStrategy]) -> Vec<MttkrpStrategy> {
+    let rest = order.iter().copied().filter(|&s| s != first);
+    std::iter::once(first).chain(rest).collect()
 }
 
 fn strategy_label(s: MttkrpStrategy) -> &'static str {
@@ -723,25 +725,37 @@ fn strategy_label(s: MttkrpStrategy) -> &'static str {
     }
 }
 
-/// Expand a strategy chain into (strategy, backend) steps. When the active
-/// backend is SIMD, the requested strategy is retried with the scalar
-/// backend before the chain moves on to other strategies — a failure in
-/// the vector path should not cost the requested strategy — and the later
-/// strategies run scalar (by the time the chain reaches them the vector
-/// path is already suspect).
-fn backend_steps<S: Copy>(chain: Vec<S>, active: KernelBackend) -> Vec<(S, KernelBackend)> {
-    let mut steps = Vec::with_capacity(chain.len() + 1);
-    for (i, strat) in chain.into_iter().enumerate() {
-        if i == 0 {
-            steps.push((strat, active));
-            if active == KernelBackend::Simd {
-                steps.push((strat, KernelBackend::Scalar));
-            }
-        } else {
-            steps.push((strat, KernelBackend::Scalar));
-        }
-    }
-    steps
+/// Turn a strategy chain into trials (`fallback` off keeps only the first
+/// strategy); `run` computes one strategy on the backend [`supervise`]
+/// installs for its trial. The first strategy runs on the calling thread's
+/// backend. Under SIMD it is retried with the scalar backend before the
+/// chain moves on — a failure in the vector path should not cost the
+/// requested strategy — and the later strategies run scalar (by the time
+/// the chain reaches them the vector path is already suspect).
+fn chain_trials<T>(
+    chain: Vec<MttkrpStrategy>,
+    fallback: bool,
+    run: impl Fn(MttkrpStrategy) -> Result<T, String> + Send + Sync + Clone + 'static,
+) -> Vec<Trial<T>> {
+    use KernelBackend::{Scalar, Simd};
+    let first_simd = simd::current_backend() == Simd;
+    let steps = if fallback { chain.len() } else { 1 };
+    chain[..steps]
+        .iter()
+        .enumerate()
+        .flat_map(|(i, &strat)| {
+            let backends: &[KernelBackend] = if i == 0 && first_simd {
+                &[Simd, Scalar]
+            } else {
+                &[Scalar]
+            };
+            backends.iter().map(move |&backend| (strat, backend))
+        })
+        .map(|(strat, backend)| {
+            let run = run.clone();
+            Trial::pinned(strategy_label(strat), backend, move || run(strat))
+        })
+        .collect()
 }
 
 /// Build the COO Mttkrp trial chain for one mode. Inputs are shared via
@@ -753,47 +767,17 @@ pub fn mttkrp_coo_trials(
     requested: MttkrpStrategy,
     fallback: bool,
 ) -> Vec<Trial<DenseMatrix<f32>>> {
-    mttkrp_coo_trials_with_backend(
-        x,
-        factors,
-        mode,
-        requested,
-        fallback,
-        simd::current_backend(),
-    )
-}
-
-/// [`mttkrp_coo_trials`] with an explicit active backend (tests pin it).
-pub fn mttkrp_coo_trials_with_backend(
-    x: &Arc<CooTensor<f32>>,
-    factors: &Arc<Vec<DenseMatrix<f32>>>,
-    mode: usize,
-    requested: MttkrpStrategy,
-    fallback: bool,
-    active: KernelBackend,
-) -> Vec<Trial<DenseMatrix<f32>>> {
-    let chain = if fallback {
-        mttkrp_chain(requested)
-    } else {
-        vec![requested]
-    };
-    backend_steps(chain, active)
-        .into_iter()
-        .map(|(strat, backend)| {
-            let x = x.clone();
-            let factors = factors.clone();
-            Trial::with_backend(strategy_label(strat), backend, move || {
-                let frefs: Vec<&DenseMatrix<f32>> = factors.iter().collect();
-                mttkrp::mttkrp_with_backend(&x, &frefs, mode, strat, backend)
-                    .map_err(|e| e.to_string())
-            })
-        })
-        .collect()
+    let (x, factors) = (x.clone(), factors.clone());
+    chain_trials(mttkrp_chain(requested), fallback, move |strat| {
+        let frefs: Vec<&DenseMatrix<f32>> = factors.iter().collect();
+        mttkrp::mttkrp_with(&x, &frefs, mode, strat).map_err(|e| e.to_string())
+    })
 }
 
 /// Build the HiCOO Mttkrp trial chain for one mode: `scheduled -> atomic
 /// -> seq`, rotated so the requested strategy runs first (`privatized` and
-/// `row_locked` map to the atomic HiCOO kernel).
+/// `row_locked` run the atomic HiCOO kernel; see
+/// [`mttkrp::mttkrp_hicoo_with`]).
 pub fn mttkrp_hicoo_trials(
     hx: &Arc<HicooTensor<f32>>,
     factors: &Arc<Vec<DenseMatrix<f32>>>,
@@ -801,55 +785,17 @@ pub fn mttkrp_hicoo_trials(
     requested: MttkrpStrategy,
     fallback: bool,
 ) -> Vec<Trial<DenseMatrix<f32>>> {
-    mttkrp_hicoo_trials_with_backend(
-        hx,
-        factors,
-        mode,
-        requested,
-        fallback,
-        simd::current_backend(),
-    )
-}
-
-/// [`mttkrp_hicoo_trials`] with an explicit active backend (tests pin it).
-pub fn mttkrp_hicoo_trials_with_backend(
-    hx: &Arc<HicooTensor<f32>>,
-    factors: &Arc<Vec<DenseMatrix<f32>>>,
-    mode: usize,
-    requested: MttkrpStrategy,
-    fallback: bool,
-    active: KernelBackend,
-) -> Vec<Trial<DenseMatrix<f32>>> {
-    let requested = match requested {
-        MttkrpStrategy::Scheduled => "scheduled",
-        MttkrpStrategy::Seq => "seq",
-        _ => "atomic",
+    use MttkrpStrategy::*;
+    let first = match requested {
+        Scheduled | Seq => requested,
+        Atomic | Privatized | RowLocked => Atomic,
     };
-    let mut chain = vec![requested];
-    for s in ["scheduled", "atomic", "seq"] {
-        if !chain.contains(&s) {
-            chain.push(s);
-        }
-    }
-    if !fallback {
-        chain.truncate(1);
-    }
-    backend_steps(chain, active)
-        .into_iter()
-        .map(|(name, backend)| {
-            let hx = hx.clone();
-            let factors = factors.clone();
-            Trial::with_backend(name, backend, move || {
-                let frefs: Vec<&DenseMatrix<f32>> = factors.iter().collect();
-                match name {
-                    "scheduled" => mttkrp::mttkrp_hicoo_sched_backend(&hx, &frefs, mode, backend),
-                    "seq" => mttkrp::mttkrp_hicoo_seq_backend(&hx, &frefs, mode, backend),
-                    _ => mttkrp::mttkrp_hicoo_backend(&hx, &frefs, mode, backend),
-                }
-                .map_err(|e| e.to_string())
-            })
-        })
-        .collect()
+    let chain = rotated(first, &[Scheduled, Atomic, Seq]);
+    let (hx, factors) = (hx.clone(), factors.clone());
+    chain_trials(chain, fallback, move |strat| {
+        let frefs: Vec<&DenseMatrix<f32>> = factors.iter().collect();
+        mttkrp::mttkrp_hicoo_with(&*hx, &frefs, mode, strat).map_err(|e| e.to_string())
+    })
 }
 
 /// Sequential-reference row digest for Mttkrp, computed unguarded (the
@@ -1203,13 +1149,13 @@ mod tests {
         // strategy scalar. The simd attempt panics; the scalar retry of
         // the SAME strategy must win before any cross-strategy fallback.
         let trials = vec![
-            Trial::with_backend(
+            Trial::pinned(
                 "scheduled",
                 KernelBackend::Simd,
                 || -> Result<i32, String> { panic!("lane fault") },
             ),
-            Trial::with_backend("scheduled", KernelBackend::Scalar, || Ok(11)),
-            Trial::with_backend("atomic", KernelBackend::Scalar, || Ok(22)),
+            Trial::pinned("scheduled", KernelBackend::Scalar, || Ok(11)),
+            Trial::pinned("atomic", KernelBackend::Scalar, || Ok(22)),
         ];
         let (r, v) = supervise("cell", &trials, accept, &SupervisorConfig::default());
         assert_eq!(
@@ -1230,19 +1176,37 @@ mod tests {
     }
 
     #[test]
+    fn trials_run_under_their_pinned_backend() {
+        // The closure fails only on the vector path, so the scalar retry
+        // succeeds only if the supervisor really installed its backend; the
+        // report names the backend the accepted attempt ran under.
+        let run = || match simd::current_backend() {
+            KernelBackend::Simd => panic!("lane fault"),
+            KernelBackend::Scalar => Ok(7),
+        };
+        let trials = vec![
+            Trial::pinned("scheduled", KernelBackend::Simd, run),
+            Trial::pinned("scheduled", KernelBackend::Scalar, run),
+        ];
+        let (r, v) = supervise("cell", &trials, accept, &SupervisorConfig::default());
+        assert_eq!(v, Some(7), "{}", r.summary());
+        assert_eq!(r.backend.as_deref(), Some("scalar"));
+        assert_eq!(r.attempts[0].backend.as_deref(), Some("simd"));
+        assert!(matches!(
+            r.attempts[0].outcome,
+            AttemptOutcome::Panicked { .. }
+        ));
+    }
+
+    #[test]
     fn trial_chains_insert_scalar_backend_retry_under_simd() {
         let x = Arc::new(small_tensor());
         let factors = Arc::new(crate::suite::make_factors(&x, 4));
         let hx = Arc::new(HicooTensor::from_coo(&x, 2).unwrap());
 
-        let trials = mttkrp_coo_trials_with_backend(
-            &x,
-            &factors,
-            0,
-            MttkrpStrategy::Scheduled,
-            true,
-            KernelBackend::Simd,
-        );
+        let trials = simd::with_backend(KernelBackend::Simd, || {
+            mttkrp_coo_trials(&x, &factors, 0, MttkrpStrategy::Scheduled, true)
+        });
         let shape: Vec<(&str, Option<KernelBackend>)> = trials
             .iter()
             .map(|t| (t.strategy.as_str(), t.backend))
@@ -1254,14 +1218,9 @@ mod tests {
             .all(|(_, b)| *b == Some(KernelBackend::Scalar)));
 
         // Under a scalar active backend there is no backend retry.
-        let trials = mttkrp_hicoo_trials_with_backend(
-            &hx,
-            &factors,
-            0,
-            MttkrpStrategy::Scheduled,
-            true,
-            KernelBackend::Scalar,
-        );
+        let trials = simd::with_backend(KernelBackend::Scalar, || {
+            mttkrp_hicoo_trials(&hx, &factors, 0, MttkrpStrategy::Scheduled, true)
+        });
         let labels: Vec<&str> = trials.iter().map(|t| t.strategy.as_str()).collect();
         assert_eq!(labels, vec!["scheduled", "atomic", "seq"]);
         assert!(trials
@@ -1269,14 +1228,9 @@ mod tests {
             .all(|t| t.backend == Some(KernelBackend::Scalar)));
 
         // Every trial in the simd hicoo chain actually runs.
-        for t in mttkrp_hicoo_trials_with_backend(
-            &hx,
-            &factors,
-            0,
-            MttkrpStrategy::Scheduled,
-            true,
-            KernelBackend::Simd,
-        ) {
+        for t in simd::with_backend(KernelBackend::Simd, || {
+            mttkrp_hicoo_trials(&hx, &factors, 0, MttkrpStrategy::Scheduled, true)
+        }) {
             assert!((t.run)().is_ok(), "{} should run", t.strategy);
         }
     }

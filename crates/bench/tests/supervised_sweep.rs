@@ -52,20 +52,18 @@ fn simd_fault_recovers_on_scalar_backend_before_changing_strategy() {
     };
     let reference = mttkrp_reference_digest(&x, &factors, 0, cfg.sample).unwrap();
 
-    // The chain `mttkrp_hicoo_trials_with_backend` would build under an
-    // active SIMD backend, with the SIMD step replaced by an injected
-    // fault.
+    // The chain `mttkrp_hicoo_trials` builds under an active SIMD backend,
+    // with the SIMD step replaced by an injected fault.
     let (fa, ha) = (factors.clone(), hx.clone());
     let trials = vec![
-        Trial::with_backend(
+        Trial::pinned(
             "scheduled",
             KernelBackend::Simd,
             || -> Result<DenseMatrix<f32>, String> { panic!("injected SIMD fault") },
         ),
-        Trial::with_backend("scheduled", KernelBackend::Scalar, move || {
+        Trial::pinned("scheduled", KernelBackend::Scalar, move || {
             let frefs: Vec<&DenseMatrix<f32>> = fa.iter().collect();
-            mttkrp::mttkrp_hicoo_sched_backend(&ha, &frefs, 0, KernelBackend::Scalar)
-                .map_err(|e| e.to_string())
+            mttkrp::mttkrp_hicoo_sched(&*ha, &frefs, 0).map_err(|e| e.to_string())
         }),
         Trial::new("atomic", || -> Result<DenseMatrix<f32>, String> {
             panic!("strategy fallback must not be reached")

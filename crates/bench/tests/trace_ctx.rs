@@ -101,7 +101,7 @@ fn ctx_survives_backend_fallback() {
     let seen: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
 
     let s1 = seen.clone();
-    let simd = Trial::with_backend(
+    let simd = Trial::pinned(
         "simd",
         KernelBackend::Simd,
         move || -> Result<(), String> {
@@ -110,7 +110,7 @@ fn ctx_survives_backend_fallback() {
         },
     );
     let s2 = seen.clone();
-    let scalar = Trial::with_backend("scalar", KernelBackend::Scalar, move || {
+    let scalar = Trial::pinned("scalar", KernelBackend::Scalar, move || {
         s2.lock().unwrap().push(obs::ctx::current_id());
         Ok(())
     });

@@ -25,6 +25,7 @@ use std::collections::BTreeMap;
 
 use crate::error::{Result, TensorError};
 use crate::scalar::Scalar;
+use crate::sched::StructureId;
 use crate::shape::Shape;
 
 /// A general sparse tensor of arbitrary order in coordinate format.
@@ -38,6 +39,7 @@ pub struct CooTensor<S: Scalar> {
     inds: Vec<Vec<u32>>,
     vals: Vec<S>,
     sort: SortState,
+    id: StructureId,
 }
 
 impl<S: Scalar> CooTensor<S> {
@@ -49,6 +51,7 @@ impl<S: Scalar> CooTensor<S> {
             inds: vec![Vec::new(); order],
             vals: Vec::new(),
             sort: SortState::Unsorted,
+            id: StructureId::new(),
         }
     }
 
@@ -85,6 +88,7 @@ impl<S: Scalar> CooTensor<S> {
             inds,
             vals,
             sort,
+            id: StructureId::new(),
         }
     }
 
@@ -134,6 +138,13 @@ impl<S: Scalar> CooTensor<S> {
     #[inline]
     pub fn vals_mut(&mut self) -> &mut [S] {
         &mut self.vals
+    }
+
+    /// Process-unique identity of this tensor's nonzero structure (see
+    /// [`crate::sched`]); changes when the tensor is cloned or re-sorted.
+    #[inline]
+    pub fn structure_id(&self) -> u64 {
+        self.id.get()
     }
 
     /// Current sort state.
@@ -222,6 +233,7 @@ impl<S: Scalar> CooTensor<S> {
             *i = perm[*i as usize];
         }
         self.sort = SortState::Unsorted;
+        self.id = StructureId::new();
     }
 
     /// Storage footprint in bytes: `order` index arrays of `u32` plus values.

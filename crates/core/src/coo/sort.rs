@@ -6,6 +6,7 @@ use rayon::prelude::*;
 use crate::hicoo::morton;
 use crate::radix;
 use crate::scalar::Scalar;
+use crate::sched::StructureId;
 
 use super::CooTensor;
 
@@ -78,6 +79,7 @@ fn apply_perm<S: Scalar>(t: &mut CooTensor<S>, perm: &[u32]) {
         t.inds[m] = gather_u32(&t.inds[m]);
     }
     t.vals = perm.par_iter().map(|&p| t.vals[p as usize]).collect();
+    t.id = StructureId::new();
 }
 
 pub(super) fn sort_lexicographic<S: Scalar>(

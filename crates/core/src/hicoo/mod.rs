@@ -33,6 +33,7 @@ use rayon::prelude::*;
 use crate::coo::{CooTensor, SortState};
 use crate::error::{Result, TensorError};
 use crate::scalar::Scalar;
+use crate::sched::StructureId;
 use crate::shape::Shape;
 
 /// Validate the block-bits parameter: element indices are stored in `u8`, so
@@ -54,6 +55,99 @@ pub struct HicooTensor<S: Scalar> {
     binds: Vec<Vec<u32>>,
     einds: Vec<Vec<u8>>,
     vals: Vec<S>,
+    id: StructureId,
+}
+
+/// Block-level traversal of a HiCOO-structured tensor: block coordinates,
+/// per-nonzero element offsets, and each block's values. HiCOO and vb-HiCOO
+/// share the index structure and differ only in where a block's values
+/// live, so kernels written against this trait (Mttkrp, the mode schedule)
+/// serve both formats with one body — the coordinate-hierarchy view of
+/// Chou et al., *Format Abstraction for Sparse Tensor Algebra Compilers*.
+pub trait BlockTraversal<S: Scalar>: Sync {
+    /// Trace span names of this format's Mttkrp bodies, ordered
+    /// `[seq, atomic, scheduled]`.
+    const MTTKRP_SPANS: [&'static str; 3];
+
+    /// The tensor shape.
+    fn shape(&self) -> &Shape;
+
+    /// log2 of the block edge length.
+    fn block_bits(&self) -> u8;
+
+    /// Block pointer: block `b` holds logical nonzeros
+    /// `bptr[b]..bptr[b + 1]`.
+    fn bptr(&self) -> &[u64];
+
+    /// The per-mode block coordinate arrays.
+    fn binds(&self) -> &[Vec<u32>];
+
+    /// The per-mode element offset arrays, indexed by logical nonzero.
+    fn einds(&self) -> &[Vec<u8>];
+
+    /// The values of block `b`, one per logical nonzero of the block.
+    fn block_vals(&self, b: usize) -> &[S];
+
+    /// Process-unique identity of the block structure (see [`crate::sched`]).
+    fn structure_id(&self) -> u64;
+
+    /// Number of modes.
+    fn order(&self) -> usize {
+        self.shape().order()
+    }
+
+    /// Number of nonempty blocks.
+    fn num_blocks(&self) -> usize {
+        self.bptr().len().saturating_sub(1)
+    }
+
+    /// Number of logical nonzeros.
+    fn nnz(&self) -> usize {
+        self.bptr().last().copied().unwrap_or(0) as usize
+    }
+
+    /// Half-open logical nonzero range of block `b`.
+    fn block_range(&self, b: usize) -> std::ops::Range<usize> {
+        self.bptr()[b] as usize..self.bptr()[b + 1] as usize
+    }
+
+    /// Block coordinate of block `b` in `mode`.
+    fn block_ind(&self, b: usize, mode: usize) -> u32 {
+        self.binds()[mode][b]
+    }
+}
+
+impl<S: Scalar> BlockTraversal<S> for HicooTensor<S> {
+    const MTTKRP_SPANS: [&'static str; 3] =
+        ["mttkrp.hicoo.seq", "mttkrp.hicoo", "mttkrp.hicoo.scheduled"];
+
+    fn shape(&self) -> &Shape {
+        &self.shape
+    }
+
+    fn block_bits(&self) -> u8 {
+        self.block_bits
+    }
+
+    fn bptr(&self) -> &[u64] {
+        &self.bptr
+    }
+
+    fn binds(&self) -> &[Vec<u32>] {
+        &self.binds
+    }
+
+    fn einds(&self) -> &[Vec<u8>] {
+        &self.einds
+    }
+
+    fn block_vals(&self, b: usize) -> &[S] {
+        &self.vals[self.block_range(b)]
+    }
+
+    fn structure_id(&self) -> u64 {
+        self.id.get()
+    }
 }
 
 impl<S: Scalar> HicooTensor<S> {
@@ -155,6 +249,7 @@ impl<S: Scalar> HicooTensor<S> {
             binds,
             einds,
             vals,
+            id: StructureId::new(),
         })
     }
 
@@ -175,6 +270,7 @@ impl<S: Scalar> HicooTensor<S> {
             binds,
             einds,
             vals,
+            id: StructureId::new(),
         };
         debug_assert!(t.validate().is_ok());
         t

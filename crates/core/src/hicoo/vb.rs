@@ -17,8 +17,9 @@ use std::collections::BTreeMap;
 
 use crate::align::{AlignedVec, SIMD_ALIGN};
 use crate::error::{Result, TensorError};
-use crate::hicoo::HicooTensor;
+use crate::hicoo::{BlockTraversal, HicooTensor};
 use crate::scalar::Scalar;
+use crate::sched::StructureId;
 use crate::shape::Shape;
 use crate::simd::pad_unit;
 
@@ -37,6 +38,39 @@ pub struct VbHicooTensor<S: Scalar> {
     /// aligned.
     vptr: Vec<u64>,
     vals: AlignedVec<S>,
+    id: StructureId,
+}
+
+impl<S: Scalar> BlockTraversal<S> for VbHicooTensor<S> {
+    const MTTKRP_SPANS: [&'static str; 3] = ["mttkrp.vb.seq", "mttkrp.vb", "mttkrp.vb.scheduled"];
+
+    fn shape(&self) -> &Shape {
+        &self.shape
+    }
+
+    fn block_bits(&self) -> u8 {
+        self.block_bits
+    }
+
+    fn bptr(&self) -> &[u64] {
+        &self.bptr
+    }
+
+    fn binds(&self) -> &[Vec<u32>] {
+        &self.binds
+    }
+
+    fn einds(&self) -> &[Vec<u8>] {
+        &self.einds
+    }
+
+    fn block_vals(&self, b: usize) -> &[S] {
+        VbHicooTensor::block_vals(self, b)
+    }
+
+    fn structure_id(&self) -> u64 {
+        self.id.get()
+    }
 }
 
 impl<S: Scalar> VbHicooTensor<S> {
@@ -71,6 +105,7 @@ impl<S: Scalar> VbHicooTensor<S> {
             einds: h.einds().to_vec(),
             vptr,
             vals,
+            id: StructureId::new(),
         }
     }
 

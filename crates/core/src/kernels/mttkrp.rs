@@ -32,12 +32,11 @@ use crate::atomic::AtomicScalar;
 use crate::coo::CooTensor;
 use crate::dense::DenseMatrix;
 use crate::error::{Result, TensorError};
-use crate::hicoo::{HicooTensor, VbHicooTensor};
+use crate::hicoo::BlockTraversal;
 use crate::par::ScratchArena;
 use crate::scalar::Scalar;
-use crate::sched::{ModeSchedule, RowSchedule};
 use crate::shape::Shape;
-use crate::simd::{self, KernelBackend};
+use crate::simd;
 
 /// Charge one COO Mttkrp invocation to the obs counters using the paper's
 /// Table 1 cost model (`analysis::mttkrp_coo_cost`).
@@ -50,8 +49,10 @@ fn charge_coo<S: Scalar>(x: &CooTensor<S>, r: usize) {
     }
 }
 
-/// Charge one HiCOO Mttkrp invocation (`analysis::mttkrp_hicoo_cost`).
-fn charge_hicoo<S: Scalar>(h: &HicooTensor<S>, r: usize) {
+/// Charge one HiCOO / vb-HiCOO Mttkrp invocation
+/// (`analysis::mttkrp_hicoo_cost`; vb padding only moves storage, not
+/// work).
+fn charge_hicoo<S: Scalar, T: BlockTraversal<S>>(h: &T, r: usize) {
     if obs::counters::counters_enabled() {
         let c = analysis::mttkrp_hicoo_cost(
             h.order(),
@@ -66,24 +67,8 @@ fn charge_hicoo<S: Scalar>(h: &HicooTensor<S>, r: usize) {
     }
 }
 
-/// Charge one vb-HiCOO Mttkrp invocation (same cost model as HiCOO — the
-/// padding only moves storage, not work).
-fn charge_vb<S: Scalar>(x: &VbHicooTensor<S>, r: usize) {
-    if obs::counters::counters_enabled() {
-        let c = analysis::mttkrp_hicoo_cost(
-            x.order(),
-            x.nnz() as u64,
-            r as u64,
-            x.num_blocks() as u64,
-            1u64 << x.block_bits(),
-        );
-        obs::counters::FLOPS.add(c.flops);
-        obs::counters::BYTES.add(c.bytes);
-        obs::counters::KERNEL_CALLS.add(1);
-    }
-}
-
-/// Parallelization strategy for COO Mttkrp.
+/// Parallelization strategy for Mttkrp. HiCOO runs `Seq`, `Atomic` and
+/// `Scheduled`; see [`mttkrp_hicoo_with`] for how the others map.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MttkrpStrategy {
     /// Single-threaded baseline.
@@ -222,20 +207,10 @@ pub fn mttkrp_seq<S: Scalar>(
     factors: &[&DenseMatrix<S>],
     mode: usize,
 ) -> Result<DenseMatrix<S>> {
-    mttkrp_seq_backend(x, factors, mode, simd::current_backend())
-}
-
-/// Sequential COO Mttkrp with an explicit backend.
-pub fn mttkrp_seq_backend<S: Scalar>(
-    x: &CooTensor<S>,
-    factors: &[&DenseMatrix<S>],
-    mode: usize,
-    backend: KernelBackend,
-) -> Result<DenseMatrix<S>> {
     let r = check_factors(x.shape(), factors, mode)?;
     let _span = obs::span!("mttkrp.seq");
     charge_coo(x, r);
-    simd::note_dispatch(backend);
+    let backend = simd::dispatch();
     let mut out = DenseMatrix::zeros(x.shape().dim(mode) as usize, r);
     let rows = x.mode_inds(mode);
     let mut rows_buf = Vec::with_capacity(factors.len());
@@ -254,20 +229,10 @@ pub fn mttkrp_atomic<S: Scalar>(
     factors: &[&DenseMatrix<S>],
     mode: usize,
 ) -> Result<DenseMatrix<S>> {
-    mttkrp_atomic_backend(x, factors, mode, simd::current_backend())
-}
-
-/// Atomic COO Mttkrp with an explicit backend.
-pub fn mttkrp_atomic_backend<S: Scalar>(
-    x: &CooTensor<S>,
-    factors: &[&DenseMatrix<S>],
-    mode: usize,
-    backend: KernelBackend,
-) -> Result<DenseMatrix<S>> {
     let r = check_factors(x.shape(), factors, mode)?;
     let _span = obs::span!("mttkrp.atomic");
     charge_coo(x, r);
-    simd::note_dispatch(backend);
+    let backend = simd::dispatch();
     let mut out = DenseMatrix::zeros_par(x.shape().dim(mode) as usize, r);
     {
         let cells = S::as_atomic_slice(out.data_mut());
@@ -305,20 +270,10 @@ pub fn mttkrp_privatized<S: Scalar>(
     factors: &[&DenseMatrix<S>],
     mode: usize,
 ) -> Result<DenseMatrix<S>> {
-    mttkrp_privatized_backend(x, factors, mode, simd::current_backend())
-}
-
-/// Privatized COO Mttkrp with an explicit backend.
-pub fn mttkrp_privatized_backend<S: Scalar>(
-    x: &CooTensor<S>,
-    factors: &[&DenseMatrix<S>],
-    mode: usize,
-    backend: KernelBackend,
-) -> Result<DenseMatrix<S>> {
     let r = check_factors(x.shape(), factors, mode)?;
     let _span = obs::span!("mttkrp.privatized");
     charge_coo(x, r);
-    simd::note_dispatch(backend);
+    let backend = simd::dispatch();
     let rows_n = x.shape().dim(mode) as usize;
     let rows = x.mode_inds(mode);
     let m = x.nnz();
@@ -367,20 +322,10 @@ pub fn mttkrp_row_locked<S: Scalar>(
     factors: &[&DenseMatrix<S>],
     mode: usize,
 ) -> Result<DenseMatrix<S>> {
-    mttkrp_row_locked_backend(x, factors, mode, simd::current_backend())
-}
-
-/// Row-locked COO Mttkrp with an explicit backend.
-pub fn mttkrp_row_locked_backend<S: Scalar>(
-    x: &CooTensor<S>,
-    factors: &[&DenseMatrix<S>],
-    mode: usize,
-    backend: KernelBackend,
-) -> Result<DenseMatrix<S>> {
     let r = check_factors(x.shape(), factors, mode)?;
     let _span = obs::span!("mttkrp.row_locked");
     charge_coo(x, r);
-    simd::note_dispatch(backend);
+    let backend = simd::dispatch();
     let rows_n = x.shape().dim(mode) as usize;
     let locked: Vec<parking_lot::Mutex<Vec<S>>> = (0..rows_n)
         .map(|_| parking_lot::Mutex::new(vec![S::ZERO; r]))
@@ -408,66 +353,23 @@ pub fn mttkrp_row_locked_backend<S: Scalar>(
     Ok(out)
 }
 
-/// Output-partitioned COO Mttkrp (see [`MttkrpStrategy::Scheduled`]). Uses
+/// Output-partitioned COO Mttkrp (see [`MttkrpStrategy::Scheduled`]) over
 /// the cached [`crate::sched::row_schedule`] for `(x, mode)`.
+///
+/// Every task owns a contiguous output row range; within it, rows are
+/// processed in ascending order and each row's nonzeros in ascending
+/// original position, so the accumulation order — and hence the floating-
+/// point result — is identical across runs, thread counts and backends.
 pub fn mttkrp_sched<S: Scalar>(
     x: &CooTensor<S>,
     factors: &[&DenseMatrix<S>],
     mode: usize,
 ) -> Result<DenseMatrix<S>> {
-    check_factors(x.shape(), factors, mode)?;
-    let sched = crate::sched::row_schedule(x, mode);
-    mttkrp_sched_with(x, factors, mode, &sched)
-}
-
-/// Scheduled COO Mttkrp with an explicit backend (cached schedule).
-pub fn mttkrp_sched_backend<S: Scalar>(
-    x: &CooTensor<S>,
-    factors: &[&DenseMatrix<S>],
-    mode: usize,
-    backend: KernelBackend,
-) -> Result<DenseMatrix<S>> {
-    check_factors(x.shape(), factors, mode)?;
-    let sched = crate::sched::row_schedule(x, mode);
-    mttkrp_sched_with_backend(x, factors, mode, &sched, backend)
-}
-
-/// Output-partitioned COO Mttkrp against a prebuilt [`RowSchedule`].
-///
-/// Every task owns a contiguous output row range; within it, rows are
-/// processed in ascending order and each row's nonzeros in ascending
-/// original position, so the accumulation order — and hence the floating-
-/// point result — is identical across runs and thread counts.
-pub fn mttkrp_sched_with<S: Scalar>(
-    x: &CooTensor<S>,
-    factors: &[&DenseMatrix<S>],
-    mode: usize,
-    sched: &RowSchedule,
-) -> Result<DenseMatrix<S>> {
-    mttkrp_sched_with_backend(x, factors, mode, sched, simd::current_backend())
-}
-
-/// Scheduled COO Mttkrp against a prebuilt schedule, with an explicit
-/// backend. The backend only changes *how* each lane-wise product is
-/// computed, never the accumulation order, so results stay bitwise
-/// identical across backends, runs, and thread counts.
-pub fn mttkrp_sched_with_backend<S: Scalar>(
-    x: &CooTensor<S>,
-    factors: &[&DenseMatrix<S>],
-    mode: usize,
-    sched: &RowSchedule,
-    backend: KernelBackend,
-) -> Result<DenseMatrix<S>> {
     let r = check_factors(x.shape(), factors, mode)?;
-    if sched.mode() != mode {
-        return Err(TensorError::FactorMismatch(format!(
-            "schedule built for mode {}, kernel invoked for mode {mode}",
-            sched.mode()
-        )));
-    }
+    let sched = crate::sched::row_schedule(x, mode);
     let _span = obs::span!("mttkrp.scheduled");
     charge_coo(x, r);
-    simd::note_dispatch(backend);
+    let backend = simd::dispatch();
     let rows_n = x.shape().dim(mode) as usize;
     let mut out = DenseMatrix::zeros_par(rows_n, r);
     let mut tasks = split_row_ranges(
@@ -491,31 +393,20 @@ pub fn mttkrp_sched_with_backend<S: Scalar>(
     Ok(out)
 }
 
-/// COO Mttkrp with an explicit strategy (ambient backend).
+/// COO Mttkrp with an explicit strategy — the entry point the
+/// supervisor's per-cell strategy fallback chain drives.
 pub fn mttkrp_with<S: Scalar>(
     x: &CooTensor<S>,
     factors: &[&DenseMatrix<S>],
     mode: usize,
     strategy: MttkrpStrategy,
 ) -> Result<DenseMatrix<S>> {
-    mttkrp_with_backend(x, factors, mode, strategy, simd::current_backend())
-}
-
-/// COO Mttkrp with an explicit strategy *and* backend — the entry point
-/// the supervisor's per-cell (strategy, backend) fallback chain drives.
-pub fn mttkrp_with_backend<S: Scalar>(
-    x: &CooTensor<S>,
-    factors: &[&DenseMatrix<S>],
-    mode: usize,
-    strategy: MttkrpStrategy,
-    backend: KernelBackend,
-) -> Result<DenseMatrix<S>> {
     match strategy {
-        MttkrpStrategy::Seq => mttkrp_seq_backend(x, factors, mode, backend),
-        MttkrpStrategy::Atomic => mttkrp_atomic_backend(x, factors, mode, backend),
-        MttkrpStrategy::Privatized => mttkrp_privatized_backend(x, factors, mode, backend),
-        MttkrpStrategy::RowLocked => mttkrp_row_locked_backend(x, factors, mode, backend),
-        MttkrpStrategy::Scheduled => mttkrp_sched_backend(x, factors, mode, backend),
+        MttkrpStrategy::Seq => mttkrp_seq(x, factors, mode),
+        MttkrpStrategy::Atomic => mttkrp_atomic(x, factors, mode),
+        MttkrpStrategy::Privatized => mttkrp_privatized(x, factors, mode),
+        MttkrpStrategy::RowLocked => mttkrp_row_locked(x, factors, mode),
+        MttkrpStrategy::Scheduled => mttkrp_sched(x, factors, mode),
     }
 }
 
@@ -546,32 +437,47 @@ pub fn mttkrp<S: Scalar>(
     mttkrp_atomic(x, factors, mode)
 }
 
-/// HiCOO-Mttkrp-OMP (Algorithm 2): block-parallel, with per-block base
-/// offsets into the factor matrices so only 8-bit element indices are
-/// touched in the inner loop. Blocks sharing an output row block still race,
-/// so updates remain atomic — the paper keeps advanced lock-avoiding
-/// scheduling out of the reference implementation.
-pub fn mttkrp_hicoo<S: Scalar>(
-    h: &HicooTensor<S>,
-    factors: &[&DenseMatrix<S>],
-    mode: usize,
-) -> Result<DenseMatrix<S>> {
-    mttkrp_hicoo_backend(h, factors, mode, simd::current_backend())
+/// Base row of block `b` in every factor matrix.
+fn block_base<S: Scalar, T: BlockTraversal<S>>(h: &T, b: usize, base: &mut [usize]) {
+    for (m, slot) in base.iter_mut().enumerate() {
+        *slot = (h.block_ind(b, m) as usize) << h.block_bits();
+    }
 }
 
-/// Block-parallel atomic HiCOO Mttkrp with an explicit backend.
-pub fn mttkrp_hicoo_backend<S: Scalar>(
-    h: &HicooTensor<S>,
+/// HiCOO Mttkrp with an explicit strategy, over HiCOO or vb-HiCOO: `Seq`,
+/// `Scheduled`, and the atomic block-parallel kernel for the nonzero-level
+/// strategies (`Atomic`, `Privatized`, `RowLocked`), which have no
+/// separate block formulation.
+pub fn mttkrp_hicoo_with<S: Scalar, T: BlockTraversal<S>>(
+    h: &T,
     factors: &[&DenseMatrix<S>],
     mode: usize,
-    backend: KernelBackend,
+    strategy: MttkrpStrategy,
+) -> Result<DenseMatrix<S>> {
+    match strategy {
+        MttkrpStrategy::Seq => mttkrp_hicoo_seq(h, factors, mode),
+        MttkrpStrategy::Scheduled => mttkrp_hicoo_sched(h, factors, mode),
+        MttkrpStrategy::Atomic | MttkrpStrategy::Privatized | MttkrpStrategy::RowLocked => {
+            mttkrp_hicoo(h, factors, mode)
+        }
+    }
+}
+
+/// HiCOO-Mttkrp-OMP (Algorithm 2), over HiCOO or vb-HiCOO: block-parallel,
+/// with per-block base offsets into the factor matrices so only 8-bit
+/// element indices are touched in the inner loop. Blocks sharing an output
+/// row block still race, so updates remain atomic — the paper keeps
+/// advanced lock-avoiding scheduling out of the reference implementation.
+pub fn mttkrp_hicoo<S: Scalar, T: BlockTraversal<S>>(
+    h: &T,
+    factors: &[&DenseMatrix<S>],
+    mode: usize,
 ) -> Result<DenseMatrix<S>> {
     let r = check_factors(h.shape(), factors, mode)?;
-    let _span = obs::span!("mttkrp.hicoo");
+    let _span = obs::span!(T::MTTKRP_SPANS[1]);
     charge_hicoo(h, r);
-    simd::note_dispatch(backend);
+    let backend = simd::dispatch();
     let mut out = DenseMatrix::zeros_par(h.shape().dim(mode) as usize, r);
-    let bits = h.block_bits();
     {
         let cells = S::as_atomic_slice(out.data_mut());
         let order = h.order();
@@ -579,13 +485,11 @@ pub fn mttkrp_hicoo_backend<S: Scalar>(
         (0..h.num_blocks()).into_par_iter().for_each(|b| {
             arena.with(|(scratch, base)| {
                 let mut rows_buf = Vec::with_capacity(order);
-                // Base row offsets of this block in every factor matrix.
-                for m in 0..order {
-                    base[m] = (h.block_ind(b, m) as usize) << bits;
-                }
-                for z in h.block_range(b) {
+                block_base(h, b, base);
+                let bvals = h.block_vals(b);
+                for (k, z) in h.block_range(b).enumerate() {
                     gather_block_rows(h.einds(), base, factors, mode, z, &mut rows_buf);
-                    simd::product_rows(backend, scratch, h.vals()[z], &rows_buf);
+                    simd::product_rows(backend, scratch, bvals[k], &rows_buf);
                     let out_row = base[mode] + h.einds()[mode][z] as usize;
                     for (k, &s) in scratch.iter().enumerate() {
                         cells[out_row * r + k].fetch_add(s);
@@ -597,70 +501,27 @@ pub fn mttkrp_hicoo_backend<S: Scalar>(
     Ok(out)
 }
 
-/// Output-partitioned HiCOO Mttkrp (the tentpole variant of this module).
-/// Uses the cached [`crate::sched::mode_schedule`] for `(h, mode)`.
-pub fn mttkrp_hicoo_sched<S: Scalar>(
-    h: &HicooTensor<S>,
-    factors: &[&DenseMatrix<S>],
-    mode: usize,
-) -> Result<DenseMatrix<S>> {
-    check_factors(h.shape(), factors, mode)?;
-    let sched = crate::sched::mode_schedule(h, mode);
-    mttkrp_hicoo_sched_with(h, factors, mode, &sched)
-}
-
-/// Scheduled HiCOO Mttkrp with an explicit backend (cached schedule).
-pub fn mttkrp_hicoo_sched_backend<S: Scalar>(
-    h: &HicooTensor<S>,
-    factors: &[&DenseMatrix<S>],
-    mode: usize,
-    backend: KernelBackend,
-) -> Result<DenseMatrix<S>> {
-    check_factors(h.shape(), factors, mode)?;
-    let sched = crate::sched::mode_schedule(h, mode);
-    mttkrp_hicoo_sched_with_backend(h, factors, mode, &sched, backend)
-}
-
-/// Output-partitioned HiCOO Mttkrp against a prebuilt [`ModeSchedule`].
+/// Output-partitioned HiCOO Mttkrp over HiCOO or vb-HiCOO, using the
+/// cached [`crate::sched::mode_schedule`] for `(h, mode)`.
 ///
 /// All blocks that write a given output row block are grouped into the same
 /// task, so tasks write disjoint `&mut` stripes of the output — no atomics,
 /// no locks. Groups are visited in ascending output order, blocks ascending
 /// within a group, and nonzeros ascending within a block, fixing the
-/// floating-point accumulation order across runs and thread counts.
-pub fn mttkrp_hicoo_sched_with<S: Scalar>(
-    h: &HicooTensor<S>,
+/// floating-point accumulation order across runs, thread counts, backends
+/// and the two formats.
+pub fn mttkrp_hicoo_sched<S: Scalar, T: BlockTraversal<S>>(
+    h: &T,
     factors: &[&DenseMatrix<S>],
     mode: usize,
-    sched: &ModeSchedule,
-) -> Result<DenseMatrix<S>> {
-    mttkrp_hicoo_sched_with_backend(h, factors, mode, sched, simd::current_backend())
-}
-
-/// Scheduled HiCOO Mttkrp against a prebuilt [`ModeSchedule`] with an
-/// explicit backend — the strategy CP-ALS pins, now vectorized. Backend
-/// choice never changes the accumulation order, so results stay bitwise
-/// identical across backends, runs, and thread counts.
-pub fn mttkrp_hicoo_sched_with_backend<S: Scalar>(
-    h: &HicooTensor<S>,
-    factors: &[&DenseMatrix<S>],
-    mode: usize,
-    sched: &ModeSchedule,
-    backend: KernelBackend,
 ) -> Result<DenseMatrix<S>> {
     let r = check_factors(h.shape(), factors, mode)?;
-    if sched.mode() != mode {
-        return Err(TensorError::FactorMismatch(format!(
-            "schedule built for mode {}, kernel invoked for mode {mode}",
-            sched.mode()
-        )));
-    }
-    let _span = obs::span!("mttkrp.hicoo.scheduled");
+    let sched = crate::sched::mode_schedule(h, mode);
+    let _span = obs::span!(T::MTTKRP_SPANS[2]);
     charge_hicoo(h, r);
-    simd::note_dispatch(backend);
+    let backend = simd::dispatch();
     let rows_n = h.shape().dim(mode) as usize;
     let mut out = DenseMatrix::zeros_par(rows_n, r);
-    let bits = h.block_bits();
     let order = h.order();
     let mut tasks = split_row_ranges(
         out.data_mut(),
@@ -677,18 +538,16 @@ pub fn mttkrp_hicoo_sched_with_backend<S: Scalar>(
         for g in sched.task_groups(t) {
             for &b in sched.group_blocks(g) {
                 let b = b as usize;
-                for m in 0..order {
-                    base[m] = (h.block_ind(b, m) as usize) << bits;
-                }
+                block_base(h, b, &mut base);
+                let bvals = h.block_vals(b);
                 if let Some((ma, mb)) = three {
-                    let zs = h.block_range(b);
                     simd::mttkrp_block3(
                         backend,
                         slice,
                         row_base,
                         r,
-                        &h.vals()[zs.clone()],
-                        zs,
+                        bvals,
+                        h.block_range(b),
                         &h.einds()[mode],
                         base[mode],
                         factors[ma].data(),
@@ -700,190 +559,9 @@ pub fn mttkrp_hicoo_sched_with_backend<S: Scalar>(
                     );
                     continue;
                 }
-                for z in h.block_range(b) {
+                for (k, z) in h.block_range(b).enumerate() {
                     gather_block_rows(h.einds(), &base, factors, mode, z, &mut rows_buf);
                     let out_row = base[mode] + h.einds()[mode][z] as usize;
-                    let dst = &mut slice[(out_row - row_base) * r..][..r];
-                    simd::accum_rows(backend, dst, h.vals()[z], &rows_buf);
-                }
-            }
-        }
-    });
-    Ok(out)
-}
-
-/// Sequential HiCOO Mttkrp baseline.
-pub fn mttkrp_hicoo_seq<S: Scalar>(
-    h: &HicooTensor<S>,
-    factors: &[&DenseMatrix<S>],
-    mode: usize,
-) -> Result<DenseMatrix<S>> {
-    mttkrp_hicoo_seq_backend(h, factors, mode, simd::current_backend())
-}
-
-/// Sequential HiCOO Mttkrp with an explicit backend.
-pub fn mttkrp_hicoo_seq_backend<S: Scalar>(
-    h: &HicooTensor<S>,
-    factors: &[&DenseMatrix<S>],
-    mode: usize,
-    backend: KernelBackend,
-) -> Result<DenseMatrix<S>> {
-    let r = check_factors(h.shape(), factors, mode)?;
-    let _span = obs::span!("mttkrp.hicoo.seq");
-    charge_hicoo(h, r);
-    simd::note_dispatch(backend);
-    let mut out = DenseMatrix::zeros(h.shape().dim(mode) as usize, r);
-    let bits = h.block_bits();
-    let order = h.order();
-    let mut rows_buf = Vec::with_capacity(order);
-    for b in 0..h.num_blocks() {
-        let base: Vec<usize> = (0..order)
-            .map(|m| (h.block_ind(b, m) as usize) << bits)
-            .collect();
-        for z in h.block_range(b) {
-            gather_block_rows(h.einds(), &base, factors, mode, z, &mut rows_buf);
-            let dst = out.row_mut(base[mode] + h.einds()[mode][z] as usize);
-            simd::accum_rows(backend, dst, h.vals()[z], &rows_buf);
-        }
-    }
-    Ok(out)
-}
-
-/// Block-parallel atomic Mttkrp over vb-HiCOO: the HiCOO algorithm with the
-/// value loads taken from the padded, 64-byte-aligned runs.
-pub fn mttkrp_vb<S: Scalar>(
-    x: &VbHicooTensor<S>,
-    factors: &[&DenseMatrix<S>],
-    mode: usize,
-) -> Result<DenseMatrix<S>> {
-    mttkrp_vb_backend(x, factors, mode, simd::current_backend())
-}
-
-/// [`mttkrp_vb`] with an explicit kernel backend.
-pub fn mttkrp_vb_backend<S: Scalar>(
-    x: &VbHicooTensor<S>,
-    factors: &[&DenseMatrix<S>],
-    mode: usize,
-    backend: KernelBackend,
-) -> Result<DenseMatrix<S>> {
-    let r = check_factors(x.shape(), factors, mode)?;
-    let _span = obs::span!("mttkrp.vb");
-    charge_vb(x, r);
-    simd::note_dispatch(backend);
-    let mut out = DenseMatrix::zeros_par(x.shape().dim(mode) as usize, r);
-    let bits = x.block_bits();
-    {
-        let cells = S::as_atomic_slice(out.data_mut());
-        let order = x.order();
-        let arena = ScratchArena::new(|| (AlignedVec::filled(r, S::ZERO), vec![0usize; order]));
-        (0..x.num_blocks()).into_par_iter().for_each(|b| {
-            arena.with(|(scratch, base)| {
-                let mut rows_buf = Vec::with_capacity(order);
-                for m in 0..order {
-                    base[m] = (x.block_ind(b, m) as usize) << bits;
-                }
-                let bvals = x.block_vals(b);
-                for (k, z) in x.block_range(b).enumerate() {
-                    gather_block_rows(x.einds(), base, factors, mode, z, &mut rows_buf);
-                    simd::product_rows(backend, scratch, bvals[k], &rows_buf);
-                    let out_row = base[mode] + x.einds()[mode][z] as usize;
-                    for (k, &s) in scratch.iter().enumerate() {
-                        cells[out_row * r + k].fetch_add(s);
-                    }
-                }
-            });
-        });
-    }
-    Ok(out)
-}
-
-/// Output-partitioned vb-HiCOO Mttkrp: builds a [`ModeSchedule`] from the
-/// vb tensor's own block structure and runs the scheduled kernel.
-pub fn mttkrp_vb_sched<S: Scalar>(
-    x: &VbHicooTensor<S>,
-    factors: &[&DenseMatrix<S>],
-    mode: usize,
-) -> Result<DenseMatrix<S>> {
-    mttkrp_vb_sched_backend(x, factors, mode, simd::current_backend())
-}
-
-/// [`mttkrp_vb_sched`] with an explicit kernel backend.
-pub fn mttkrp_vb_sched_backend<S: Scalar>(
-    x: &VbHicooTensor<S>,
-    factors: &[&DenseMatrix<S>],
-    mode: usize,
-    backend: KernelBackend,
-) -> Result<DenseMatrix<S>> {
-    check_factors(x.shape(), factors, mode)?;
-    let sched = crate::sched::vb_mode_schedule(x, mode);
-    mttkrp_vb_sched_with_backend(x, factors, mode, &sched, backend)
-}
-
-/// Scheduled vb-HiCOO Mttkrp against a prebuilt [`ModeSchedule`] (the
-/// schedule of the source HiCOO tensor is structurally identical and may be
-/// reused). Same disjoint-stripe, fixed-order accumulation as the HiCOO
-/// variant: bitwise-deterministic, and bitwise-identical across backends.
-pub fn mttkrp_vb_sched_with_backend<S: Scalar>(
-    x: &VbHicooTensor<S>,
-    factors: &[&DenseMatrix<S>],
-    mode: usize,
-    sched: &ModeSchedule,
-    backend: KernelBackend,
-) -> Result<DenseMatrix<S>> {
-    let r = check_factors(x.shape(), factors, mode)?;
-    if sched.mode() != mode {
-        return Err(TensorError::FactorMismatch(format!(
-            "schedule built for mode {}, kernel invoked for mode {mode}",
-            sched.mode()
-        )));
-    }
-    let _span = obs::span!("mttkrp.vb.scheduled");
-    charge_vb(x, r);
-    simd::note_dispatch(backend);
-    let rows_n = x.shape().dim(mode) as usize;
-    let mut out = DenseMatrix::zeros_par(rows_n, r);
-    let bits = x.block_bits();
-    let order = x.order();
-    let mut tasks = split_row_ranges(
-        out.data_mut(),
-        r,
-        (0..sched.num_tasks()).map(|t| sched.task_row_range(t, rows_n)),
-    );
-    // Order-3 fast path: one fused call per block (see the HiCOO variant).
-    let three = (order == 3).then(|| non_mode_pair(mode));
-    tasks.par_iter_mut().enumerate().for_each(|(t, task)| {
-        let (row_base, slice) = (task.0, &mut *task.1);
-        let mut base = vec![0usize; order];
-        let mut rows_buf = Vec::with_capacity(order);
-        for g in sched.task_groups(t) {
-            for &b in sched.group_blocks(g) {
-                let b = b as usize;
-                for m in 0..order {
-                    base[m] = (x.block_ind(b, m) as usize) << bits;
-                }
-                let bvals = x.block_vals(b);
-                if let Some((ma, mb)) = three {
-                    simd::mttkrp_block3(
-                        backend,
-                        slice,
-                        row_base,
-                        r,
-                        bvals,
-                        x.block_range(b),
-                        &x.einds()[mode],
-                        base[mode],
-                        factors[ma].data(),
-                        &x.einds()[ma],
-                        base[ma],
-                        factors[mb].data(),
-                        &x.einds()[mb],
-                        base[mb],
-                    );
-                    continue;
-                }
-                for (k, z) in x.block_range(b).enumerate() {
-                    gather_block_rows(x.einds(), &base, factors, mode, z, &mut rows_buf);
-                    let out_row = base[mode] + x.einds()[mode][z] as usize;
                     let dst = &mut slice[(out_row - row_base) * r..][..r];
                     simd::accum_rows(backend, dst, bvals[k], &rows_buf);
                 }
@@ -893,38 +571,25 @@ pub fn mttkrp_vb_sched_with_backend<S: Scalar>(
     Ok(out)
 }
 
-/// Sequential vb-HiCOO Mttkrp baseline.
-pub fn mttkrp_vb_seq<S: Scalar>(
-    x: &VbHicooTensor<S>,
+/// Sequential HiCOO Mttkrp baseline, over HiCOO or vb-HiCOO.
+pub fn mttkrp_hicoo_seq<S: Scalar, T: BlockTraversal<S>>(
+    h: &T,
     factors: &[&DenseMatrix<S>],
     mode: usize,
 ) -> Result<DenseMatrix<S>> {
-    mttkrp_vb_seq_backend(x, factors, mode, simd::current_backend())
-}
-
-/// [`mttkrp_vb_seq`] with an explicit kernel backend.
-pub fn mttkrp_vb_seq_backend<S: Scalar>(
-    x: &VbHicooTensor<S>,
-    factors: &[&DenseMatrix<S>],
-    mode: usize,
-    backend: KernelBackend,
-) -> Result<DenseMatrix<S>> {
-    let r = check_factors(x.shape(), factors, mode)?;
-    let _span = obs::span!("mttkrp.vb.seq");
-    charge_vb(x, r);
-    simd::note_dispatch(backend);
-    let mut out = DenseMatrix::zeros(x.shape().dim(mode) as usize, r);
-    let bits = x.block_bits();
-    let order = x.order();
-    let mut rows_buf = Vec::with_capacity(order);
-    for b in 0..x.num_blocks() {
-        let base: Vec<usize> = (0..order)
-            .map(|m| (x.block_ind(b, m) as usize) << bits)
-            .collect();
-        let bvals = x.block_vals(b);
-        for (k, z) in x.block_range(b).enumerate() {
-            gather_block_rows(x.einds(), &base, factors, mode, z, &mut rows_buf);
-            let dst = out.row_mut(base[mode] + x.einds()[mode][z] as usize);
+    let r = check_factors(h.shape(), factors, mode)?;
+    let _span = obs::span!(T::MTTKRP_SPANS[0]);
+    charge_hicoo(h, r);
+    let backend = simd::dispatch();
+    let mut out = DenseMatrix::zeros(h.shape().dim(mode) as usize, r);
+    let mut base = vec![0usize; h.order()];
+    let mut rows_buf = Vec::with_capacity(h.order());
+    for b in 0..h.num_blocks() {
+        block_base(h, b, &mut base);
+        let bvals = h.block_vals(b);
+        for (k, z) in h.block_range(b).enumerate() {
+            gather_block_rows(h.einds(), &base, factors, mode, z, &mut rows_buf);
+            let dst = out.row_mut(base[mode] + h.einds()[mode][z] as usize);
             simd::accum_rows(backend, dst, bvals[k], &rows_buf);
         }
     }
@@ -933,7 +598,10 @@ pub fn mttkrp_vb_seq_backend<S: Scalar>(
 
 #[cfg(test)]
 mod tests {
+    use crate::hicoo::{HicooTensor, VbHicooTensor};
     use crate::scalar::approx_eq;
+    use crate::simd::with_backend;
+    use crate::simd::KernelBackend::{Scalar, Simd};
 
     use super::*;
 
@@ -1101,10 +769,9 @@ mod tests {
                     MttkrpStrategy::RowLocked,
                     MttkrpStrategy::Scheduled,
                 ] {
-                    let s = mttkrp_with_backend(&x, &refs(&f), mode, strat, KernelBackend::Scalar)
-                        .unwrap();
-                    let v = mttkrp_with_backend(&x, &refs(&f), mode, strat, KernelBackend::Simd)
-                        .unwrap();
+                    let s =
+                        with_backend(Scalar, || mttkrp_with(&x, &refs(&f), mode, strat)).unwrap();
+                    let v = with_backend(Simd, || mttkrp_with(&x, &refs(&f), mode, strat)).unwrap();
                     // Atomic/privatized strategies are order-nondeterministic
                     // across *runs*, but single-threaded here they agree;
                     // compare approximately for those, bitwise for the rest.
@@ -1116,15 +783,11 @@ mod tests {
                         }
                     }
                 }
-                let hs =
-                    mttkrp_hicoo_sched_backend(&h, &refs(&f), mode, KernelBackend::Scalar).unwrap();
-                let hv =
-                    mttkrp_hicoo_sched_backend(&h, &refs(&f), mode, KernelBackend::Simd).unwrap();
+                let hs = with_backend(Scalar, || mttkrp_hicoo_sched(&h, &refs(&f), mode)).unwrap();
+                let hv = with_backend(Simd, || mttkrp_hicoo_sched(&h, &refs(&f), mode)).unwrap();
                 assert_eq!(hs.data(), hv.data(), "hicoo sched r={r} mode={mode}");
-                let qs =
-                    mttkrp_hicoo_seq_backend(&h, &refs(&f), mode, KernelBackend::Scalar).unwrap();
-                let qv =
-                    mttkrp_hicoo_seq_backend(&h, &refs(&f), mode, KernelBackend::Simd).unwrap();
+                let qs = with_backend(Scalar, || mttkrp_hicoo_seq(&h, &refs(&f), mode)).unwrap();
+                let qv = with_backend(Simd, || mttkrp_hicoo_seq(&h, &refs(&f), mode)).unwrap();
                 assert_eq!(qs.data(), qv.data(), "hicoo seq r={r} mode={mode}");
             }
         }
@@ -1149,35 +812,29 @@ mod tests {
         for r in [3usize, 8, 16] {
             let f = factors(x.shape(), r);
             for mode in 0..3 {
-                for backend in [KernelBackend::Scalar, KernelBackend::Simd] {
-                    let want = mttkrp_hicoo_seq_backend(&h, &refs(&f), mode, backend).unwrap();
-                    let got = mttkrp_vb_seq_backend(&vb, &refs(&f), mode, backend).unwrap();
+                for backend in [Scalar, Simd] {
+                    let want =
+                        with_backend(backend, || mttkrp_hicoo_seq(&h, &refs(&f), mode)).unwrap();
+                    let got =
+                        with_backend(backend, || mttkrp_hicoo_seq(&vb, &refs(&f), mode)).unwrap();
                     assert_eq!(want.data(), got.data(), "seq r={r} mode={mode} {backend:?}");
-                    let want = mttkrp_hicoo_sched_backend(&h, &refs(&f), mode, backend).unwrap();
-                    let got = mttkrp_vb_sched_backend(&vb, &refs(&f), mode, backend).unwrap();
+                    let want =
+                        with_backend(backend, || mttkrp_hicoo_sched(&h, &refs(&f), mode)).unwrap();
+                    let got =
+                        with_backend(backend, || mttkrp_hicoo_sched(&vb, &refs(&f), mode)).unwrap();
                     assert_eq!(
                         want.data(),
                         got.data(),
                         "sched r={r} mode={mode} {backend:?}"
                     );
-                    let atom = mttkrp_vb_backend(&vb, &refs(&f), mode, backend).unwrap();
+                    let atom =
+                        with_backend(backend, || mttkrp_hicoo(&vb, &refs(&f), mode)).unwrap();
                     for (a, b) in want.data().iter().zip(atom.data()) {
                         assert!(approx_eq(*a, *b, 1e-4), "atomic r={r}: {a} vs {b}");
                     }
                 }
             }
         }
-    }
-
-    #[test]
-    fn scheduled_rejects_mode_mismatched_schedule() {
-        let x = sample();
-        let f = factors(x.shape(), 4);
-        let h = HicooTensor::from_coo(&x, 1).unwrap();
-        let s = crate::sched::mode_schedule(&h, 0);
-        assert!(mttkrp_hicoo_sched_with(&h, &refs(&f), 1, &s).is_err());
-        let rs = crate::sched::row_schedule(&x, 2);
-        assert!(mttkrp_sched_with(&x, &refs(&f), 0, &rs).is_err());
     }
 
     #[test]

@@ -23,7 +23,7 @@ use crate::coo::{CooTensor, SortState};
 use crate::error::{Result, TensorError};
 use crate::hicoo::{HicooTensor, VbHicooTensor};
 use crate::scalar::Scalar;
-use crate::simd::{self, KernelBackend};
+use crate::simd;
 
 use super::EwOp;
 
@@ -87,23 +87,13 @@ pub fn tew_same_pattern<S: Scalar>(
     y: &CooTensor<S>,
     op: EwOp,
 ) -> Result<CooTensor<S>> {
-    tew_same_pattern_backend(x, y, op, simd::current_backend())
-}
-
-/// [`tew_same_pattern`] with an explicit kernel backend.
-pub fn tew_same_pattern_backend<S: Scalar>(
-    x: &CooTensor<S>,
-    y: &CooTensor<S>,
-    op: EwOp,
-    backend: KernelBackend,
-) -> Result<CooTensor<S>> {
     check_same_shape(x, y)?;
     if !x.same_pattern(y) {
         return Err(TensorError::PatternMismatch);
     }
     let _span = obs::span!("tew.coo");
     charge(x.nnz());
-    simd::note_dispatch(backend);
+    let backend = simd::dispatch();
     let mut vals: Vec<S> = vec![S::ZERO; x.nnz()];
     vals.par_chunks_mut(CHUNK)
         .zip(x.vals().par_chunks(CHUNK))
@@ -123,23 +113,13 @@ pub fn tew_same_pattern_seq<S: Scalar>(
     y: &CooTensor<S>,
     op: EwOp,
 ) -> Result<CooTensor<S>> {
-    tew_same_pattern_seq_backend(x, y, op, simd::current_backend())
-}
-
-/// [`tew_same_pattern_seq`] with an explicit kernel backend.
-pub fn tew_same_pattern_seq_backend<S: Scalar>(
-    x: &CooTensor<S>,
-    y: &CooTensor<S>,
-    op: EwOp,
-    backend: KernelBackend,
-) -> Result<CooTensor<S>> {
     check_same_shape(x, y)?;
     if !x.same_pattern(y) {
         return Err(TensorError::PatternMismatch);
     }
     let _span = obs::span!("tew.seq");
     charge(x.nnz());
-    simd::note_dispatch(backend);
+    let backend = simd::dispatch();
     let mut vals: Vec<S> = vec![S::ZERO; x.nnz()];
     simd::ew_combine_into(backend, op, x.vals(), y.vals(), &mut vals);
     Ok(CooTensor::from_parts_unchecked(
@@ -381,16 +361,6 @@ pub fn tew_hicoo_same_pattern<S: Scalar>(
     y: &HicooTensor<S>,
     op: EwOp,
 ) -> Result<HicooTensor<S>> {
-    tew_hicoo_same_pattern_backend(x, y, op, simd::current_backend())
-}
-
-/// [`tew_hicoo_same_pattern`] with an explicit kernel backend.
-pub fn tew_hicoo_same_pattern_backend<S: Scalar>(
-    x: &HicooTensor<S>,
-    y: &HicooTensor<S>,
-    op: EwOp,
-    backend: KernelBackend,
-) -> Result<HicooTensor<S>> {
     if x.shape() != y.shape() {
         return Err(TensorError::ShapeMismatch {
             left: x.shape().dims().to_vec(),
@@ -402,7 +372,7 @@ pub fn tew_hicoo_same_pattern_backend<S: Scalar>(
     }
     let _span = obs::span!("tew.hicoo");
     charge(x.nnz());
-    simd::note_dispatch(backend);
+    let backend = simd::dispatch();
     let mut out = x.clone();
     out.vals_mut()
         .par_chunks_mut(CHUNK)
@@ -419,16 +389,6 @@ pub fn tew_vb_same_pattern<S: Scalar>(
     y: &VbHicooTensor<S>,
     op: EwOp,
 ) -> Result<VbHicooTensor<S>> {
-    tew_vb_same_pattern_backend(x, y, op, simd::current_backend())
-}
-
-/// [`tew_vb_same_pattern`] with an explicit kernel backend.
-pub fn tew_vb_same_pattern_backend<S: Scalar>(
-    x: &VbHicooTensor<S>,
-    y: &VbHicooTensor<S>,
-    op: EwOp,
-    backend: KernelBackend,
-) -> Result<VbHicooTensor<S>> {
     if x.shape() != y.shape() {
         return Err(TensorError::ShapeMismatch {
             left: x.shape().dims().to_vec(),
@@ -440,7 +400,7 @@ pub fn tew_vb_same_pattern_backend<S: Scalar>(
     }
     let _span = obs::span!("tew.vb");
     charge(x.nnz());
-    simd::note_dispatch(backend);
+    let backend = simd::dispatch();
     let mut out = x.clone();
     out.padded_vals_mut()
         .par_chunks_mut(CHUNK)
@@ -620,22 +580,23 @@ mod tests {
         let hx = HicooTensor::from_coo(&x, 2).unwrap();
         let hy = HicooTensor::from_coo(&y, 2).unwrap();
         for op in [EwOp::Add, EwOp::Sub, EwOp::Mul, EwOp::Div] {
+            use crate::simd::with_backend;
             use crate::simd::KernelBackend::{Scalar, Simd};
-            let zs = tew_same_pattern_backend(&x, &y, op, Scalar).unwrap();
-            let zv = tew_same_pattern_backend(&x, &y, op, Simd).unwrap();
+            let zs = with_backend(Scalar, || tew_same_pattern(&x, &y, op)).unwrap();
+            let zv = with_backend(Simd, || tew_same_pattern(&x, &y, op)).unwrap();
             assert_eq!(
                 zs.vals().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 zv.vals().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 "{op:?} parallel"
             );
-            let zq = tew_same_pattern_seq_backend(&x, &y, op, Simd).unwrap();
+            let zq = with_backend(Simd, || tew_same_pattern_seq(&x, &y, op)).unwrap();
             assert_eq!(
                 zs.vals().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 zq.vals().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 "{op:?} seq"
             );
-            let hs = tew_hicoo_same_pattern_backend(&hx, &hy, op, Scalar).unwrap();
-            let hv = tew_hicoo_same_pattern_backend(&hx, &hy, op, Simd).unwrap();
+            let hs = with_backend(Scalar, || tew_hicoo_same_pattern(&hx, &hy, op)).unwrap();
+            let hv = with_backend(Simd, || tew_hicoo_same_pattern(&hx, &hy, op)).unwrap();
             assert_eq!(
                 hs.vals().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 hv.vals().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -675,8 +636,9 @@ mod tests {
                 crate::simd::KernelBackend::Scalar,
                 crate::simd::KernelBackend::Simd,
             ] {
-                let h = tew_hicoo_same_pattern_backend(&hx, &hy, op, backend).unwrap();
-                let v = tew_vb_same_pattern_backend(&vx, &vy, op, backend).unwrap();
+                use crate::simd::with_backend;
+                let h = with_backend(backend, || tew_hicoo_same_pattern(&hx, &hy, op)).unwrap();
+                let v = with_backend(backend, || tew_vb_same_pattern(&vx, &vy, op)).unwrap();
                 assert!(v.validate().is_ok(), "{op:?} {backend:?} padding");
                 let vh = v.to_hicoo();
                 assert_eq!(

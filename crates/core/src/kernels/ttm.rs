@@ -20,9 +20,8 @@ use crate::hicoo::{GHicooTensor, GhFiberPartition, HicooTensor, SemiSparseHicooT
 use crate::kernels::ttv::MAX_SCHED_ORDER;
 use crate::par::Schedule;
 use crate::scalar::Scalar;
-use crate::sched::ComplementSchedule;
 use crate::shape::Shape;
-use crate::simd::{self, KernelBackend};
+use crate::simd;
 
 fn check_operand<S: Scalar>(shape: &Shape, mode: usize, u: &DenseMatrix<S>) -> Result<()> {
     shape.check_mode(mode)?;
@@ -60,17 +59,6 @@ pub fn ttm_prepared<S: Scalar>(
     u: &DenseMatrix<S>,
     sched: Schedule,
 ) -> Result<SemiSparseTensor<S>> {
-    ttm_prepared_backend(x, fp, u, sched, simd::current_backend())
-}
-
-/// [`ttm_prepared`] with an explicit kernel backend.
-pub fn ttm_prepared_backend<S: Scalar>(
-    x: &CooTensor<S>,
-    fp: &FiberPartition,
-    u: &DenseMatrix<S>,
-    sched: Schedule,
-    backend: KernelBackend,
-) -> Result<SemiSparseTensor<S>> {
     let mode = fp.mode;
     check_operand(x.shape(), mode, u)?;
     if !x.sort_state().is_mode_last(x.order(), mode) {
@@ -82,7 +70,7 @@ pub fn ttm_prepared_backend<S: Scalar>(
     let r = u.cols();
     let mf = fp.num_fibers();
     charge(x.order(), x.nnz(), mf, r);
-    simd::note_dispatch(backend);
+    let backend = simd::dispatch();
     let out_shape = x.shape().with_mode_size(mode, r as u32)?;
     let xv = x.vals();
     let xk = x.mode_inds(mode);
@@ -135,16 +123,6 @@ pub fn ttm_prepared_seq<S: Scalar>(
     fp: &FiberPartition,
     u: &DenseMatrix<S>,
 ) -> Result<SemiSparseTensor<S>> {
-    ttm_prepared_seq_backend(x, fp, u, simd::current_backend())
-}
-
-/// [`ttm_prepared_seq`] with an explicit kernel backend.
-pub fn ttm_prepared_seq_backend<S: Scalar>(
-    x: &CooTensor<S>,
-    fp: &FiberPartition,
-    u: &DenseMatrix<S>,
-    backend: KernelBackend,
-) -> Result<SemiSparseTensor<S>> {
     let mode = fp.mode;
     check_operand(x.shape(), mode, u)?;
     if !x.sort_state().is_mode_last(x.order(), mode) {
@@ -156,7 +134,7 @@ pub fn ttm_prepared_seq_backend<S: Scalar>(
     let r = u.cols();
     let mf = fp.num_fibers();
     charge(x.order(), x.nnz(), mf, r);
-    simd::note_dispatch(backend);
+    let backend = simd::dispatch();
     let out_shape = x.shape().with_mode_size(mode, r as u32)?;
     let xv = x.vals();
     let xk = x.mode_inds(mode);
@@ -187,24 +165,14 @@ pub fn ttm<S: Scalar>(
     u: &DenseMatrix<S>,
     mode: usize,
 ) -> Result<SemiSparseTensor<S>> {
-    ttm_backend(x, u, mode, simd::current_backend())
-}
-
-/// [`ttm`] with an explicit kernel backend.
-pub fn ttm_backend<S: Scalar>(
-    x: &CooTensor<S>,
-    u: &DenseMatrix<S>,
-    mode: usize,
-    backend: KernelBackend,
-) -> Result<SemiSparseTensor<S>> {
     check_operand(x.shape(), mode, u)?;
     if x.sort_state().is_mode_last(x.order(), mode) {
         let fp = x.fibers_sorted(mode)?;
-        ttm_prepared_backend(x, &fp, u, Schedule::default(), backend)
+        ttm_prepared(x, &fp, u, Schedule::default())
     } else {
         let mut c = x.clone();
         let fp = c.fibers(mode)?;
-        ttm_prepared_backend(&c, &fp, u, Schedule::default(), backend)
+        ttm_prepared(&c, &fp, u, Schedule::default())
     }
 }
 
@@ -216,24 +184,13 @@ pub fn ttm_ghicoo<S: Scalar>(
     u: &DenseMatrix<S>,
     sched: Schedule,
 ) -> Result<SemiSparseHicooTensor<S>> {
-    ttm_ghicoo_backend(g, fp, u, sched, simd::current_backend())
-}
-
-/// [`ttm_ghicoo`] with an explicit kernel backend.
-pub fn ttm_ghicoo_backend<S: Scalar>(
-    g: &GHicooTensor<S>,
-    fp: &GhFiberPartition,
-    u: &DenseMatrix<S>,
-    sched: Schedule,
-    backend: KernelBackend,
-) -> Result<SemiSparseHicooTensor<S>> {
     let mode = fp.mode;
     check_operand(g.shape(), mode, u)?;
     let _span = obs::span!("ttm.ghicoo");
     let r = u.cols();
     let mf = fp.num_fibers();
     charge(g.order(), g.nnz(), mf, r);
-    simd::note_dispatch(backend);
+    let backend = simd::dispatch();
     let nb = g.num_blocks();
     let out_shape = g.shape().with_mode_size(mode, r as u32)?;
     let gv = g.vals();
@@ -293,87 +250,35 @@ pub fn ttm_hicoo<S: Scalar>(
     u: &DenseMatrix<S>,
     mode: usize,
 ) -> Result<SemiSparseHicooTensor<S>> {
-    ttm_hicoo_backend(h, u, mode, simd::current_backend())
-}
-
-/// [`ttm_hicoo`] with an explicit kernel backend.
-pub fn ttm_hicoo_backend<S: Scalar>(
-    h: &HicooTensor<S>,
-    u: &DenseMatrix<S>,
-    mode: usize,
-    backend: KernelBackend,
-) -> Result<SemiSparseHicooTensor<S>> {
     check_operand(h.shape(), mode, u)?;
     let g = GHicooTensor::from_coo_for_mode(&h.to_coo(), h.block_bits(), mode)?;
     let fp = g.fibers(mode)?;
-    ttm_ghicoo_backend(&g, &fp, u, Schedule::default(), backend)
+    ttm_ghicoo(&g, &fp, u, Schedule::default())
 }
 
 /// Scheduled HiCOO-Ttm: contracts `mode` directly on the HiCOO blocks using
 /// the cached [`crate::sched::complement_schedule`], with no COO round-trip
-/// and no gHiCOO re-blocking. Tensors of order above
-/// [`MAX_SCHED_ORDER`](crate::kernels::ttv::MAX_SCHED_ORDER) fall back to
+/// and no gHiCOO re-blocking. Tensors of order above 9 fall back to
 /// [`ttm_hicoo`].
+///
+/// Same group structure as [`super::ttv::ttv_hicoo_sched`], but every
+/// output fiber is a dense length-`R` stripe accumulated from
+/// `val * U[i_n, :]`. Groups write disjoint output blocks, so there is no
+/// synchronization and the accumulation order is fixed
+/// (bitwise-deterministic results).
 pub fn ttm_hicoo_sched<S: Scalar>(
     h: &HicooTensor<S>,
     u: &DenseMatrix<S>,
     mode: usize,
 ) -> Result<SemiSparseHicooTensor<S>> {
-    ttm_hicoo_sched_backend(h, u, mode, simd::current_backend())
-}
-
-/// [`ttm_hicoo_sched`] with an explicit kernel backend.
-pub fn ttm_hicoo_sched_backend<S: Scalar>(
-    h: &HicooTensor<S>,
-    u: &DenseMatrix<S>,
-    mode: usize,
-    backend: KernelBackend,
-) -> Result<SemiSparseHicooTensor<S>> {
     check_operand(h.shape(), mode, u)?;
     if h.order() > MAX_SCHED_ORDER {
-        return ttm_hicoo_backend(h, u, mode, backend);
+        return ttm_hicoo(h, u, mode);
     }
     let cs = crate::sched::complement_schedule(h, mode);
-    ttm_hicoo_sched_with_backend(h, u, mode, &cs, backend)
-}
-
-/// Scheduled HiCOO-Ttm against a prebuilt [`ComplementSchedule`]. Same
-/// group structure as [`super::ttv::ttv_hicoo_sched_with`], but every output
-/// fiber is a dense length-`R` stripe accumulated from `val * U[i_n, :]`.
-/// Groups write disjoint output blocks, so there is no synchronization and
-/// the accumulation order is fixed (bitwise-deterministic results).
-pub fn ttm_hicoo_sched_with<S: Scalar>(
-    h: &HicooTensor<S>,
-    u: &DenseMatrix<S>,
-    mode: usize,
-    cs: &ComplementSchedule,
-) -> Result<SemiSparseHicooTensor<S>> {
-    ttm_hicoo_sched_with_backend(h, u, mode, cs, simd::current_backend())
-}
-
-/// [`ttm_hicoo_sched_with`] with an explicit kernel backend.
-pub fn ttm_hicoo_sched_with_backend<S: Scalar>(
-    h: &HicooTensor<S>,
-    u: &DenseMatrix<S>,
-    mode: usize,
-    cs: &ComplementSchedule,
-    backend: KernelBackend,
-) -> Result<SemiSparseHicooTensor<S>> {
-    check_operand(h.shape(), mode, u)?;
-    if cs.mode() != mode {
-        return Err(TensorError::InvalidStructure(format!(
-            "schedule built for mode {}, kernel invoked for mode {mode}",
-            cs.mode()
-        )));
-    }
     let order = h.order();
-    if order > MAX_SCHED_ORDER {
-        return Err(TensorError::InvalidStructure(format!(
-            "scheduled Ttm supports order <= {MAX_SCHED_ORDER}, got {order}"
-        )));
-    }
     let _span = obs::span!("ttm.hicoo.scheduled");
-    simd::note_dispatch(backend);
+    let backend = simd::dispatch();
     let r = u.cols();
     let out_shape = h.shape().with_mode_size(mode, r as u32)?;
     let other: Vec<usize> = (0..order).filter(|&m| m != mode).collect();
@@ -595,16 +500,8 @@ mod tests {
     }
 
     #[test]
-    fn sched_rejects_mode_mismatched_schedule() {
-        let x = sample();
-        let h = HicooTensor::from_coo(&x, 1).unwrap();
-        let cs = crate::sched::complement_schedule(&h, 2);
-        let u = DenseMatrix::constant(4, 2, 1.0f32);
-        assert!(ttm_hicoo_sched_with(&h, &u, 1, &cs).is_err());
-    }
-
-    #[test]
     fn backends_are_bitwise_identical() {
+        use crate::simd::with_backend;
         use crate::simd::KernelBackend::{Scalar, Simd};
         let entries: Vec<(Vec<u32>, f32)> = (0..2500)
             .map(|i| {
@@ -620,15 +517,15 @@ mod tests {
         for rank in [3usize, 8, 17] {
             for mode in 0..3 {
                 let u = DenseMatrix::from_fn(18, rank, |i, j| (i * rank + j) as f32 * 0.1 - 4.0);
-                let a = ttm_backend(&x, &u, mode, Scalar).unwrap();
-                let b = ttm_backend(&x, &u, mode, Simd).unwrap();
+                let a = with_backend(Scalar, || ttm(&x, &u, mode)).unwrap();
+                let b = with_backend(Simd, || ttm(&x, &u, mode)).unwrap();
                 assert_eq!(
                     a.vals().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                     b.vals().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                     "coo rank {rank} mode {mode}"
                 );
-                let hs = ttm_hicoo_sched_backend(&h, &u, mode, Scalar).unwrap();
-                let hv = ttm_hicoo_sched_backend(&h, &u, mode, Simd).unwrap();
+                let hs = with_backend(Scalar, || ttm_hicoo_sched(&h, &u, mode)).unwrap();
+                let hv = with_backend(Simd, || ttm_hicoo_sched(&h, &u, mode)).unwrap();
                 assert_eq!(
                     hs.vals().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                     hv.vals().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),

@@ -21,9 +21,8 @@ use crate::error::{Result, TensorError};
 use crate::hicoo::{GHicooTensor, GhFiberPartition, HicooTensor};
 use crate::par::{par_for_each_indexed, Schedule};
 use crate::scalar::Scalar;
-use crate::sched::ComplementSchedule;
 use crate::shape::Shape;
-use crate::simd::{self, KernelBackend};
+use crate::simd;
 
 /// Largest tensor order for which the scheduled HiCOO contraction kernels
 /// can pack the `order - 1` surviving 8-bit element coordinates of a fiber
@@ -66,17 +65,6 @@ pub fn ttv_prepared<S: Scalar>(
     v: &DenseVector<S>,
     sched: Schedule,
 ) -> Result<CooTensor<S>> {
-    ttv_prepared_backend(x, fp, v, sched, simd::current_backend())
-}
-
-/// [`ttv_prepared`] with an explicit kernel backend.
-pub fn ttv_prepared_backend<S: Scalar>(
-    x: &CooTensor<S>,
-    fp: &FiberPartition,
-    v: &DenseVector<S>,
-    sched: Schedule,
-    backend: KernelBackend,
-) -> Result<CooTensor<S>> {
     let mode = fp.mode;
     check_operand(x.shape(), mode, v)?;
     if !x.sort_state().is_mode_last(x.order(), mode) {
@@ -87,7 +75,7 @@ pub fn ttv_prepared_backend<S: Scalar>(
     let _span = obs::span!("ttv.coo");
     let mf = fp.num_fibers();
     charge(x.order(), x.nnz(), mf);
-    simd::note_dispatch(backend);
+    let backend = simd::dispatch();
     let out_shape = x.shape().without_mode(mode)?;
     let xv = x.vals();
     let xk = x.mode_inds(mode);
@@ -127,16 +115,6 @@ pub fn ttv_prepared_seq<S: Scalar>(
     fp: &FiberPartition,
     v: &DenseVector<S>,
 ) -> Result<CooTensor<S>> {
-    ttv_prepared_seq_backend(x, fp, v, simd::current_backend())
-}
-
-/// [`ttv_prepared_seq`] with an explicit kernel backend.
-pub fn ttv_prepared_seq_backend<S: Scalar>(
-    x: &CooTensor<S>,
-    fp: &FiberPartition,
-    v: &DenseVector<S>,
-    backend: KernelBackend,
-) -> Result<CooTensor<S>> {
     let mode = fp.mode;
     check_operand(x.shape(), mode, v)?;
     if !x.sort_state().is_mode_last(x.order(), mode) {
@@ -147,7 +125,7 @@ pub fn ttv_prepared_seq_backend<S: Scalar>(
     let _span = obs::span!("ttv.seq");
     let mf = fp.num_fibers();
     charge(x.order(), x.nnz(), mf);
-    simd::note_dispatch(backend);
+    let backend = simd::dispatch();
     let out_shape = x.shape().without_mode(mode)?;
     let xv = x.vals();
     let xk = x.mode_inds(mode);
@@ -196,24 +174,14 @@ pub fn ttv_prepared_seq_backend<S: Scalar>(
 /// # Ok::<(), TensorError>(())
 /// ```
 pub fn ttv<S: Scalar>(x: &CooTensor<S>, v: &DenseVector<S>, mode: usize) -> Result<CooTensor<S>> {
-    ttv_backend(x, v, mode, simd::current_backend())
-}
-
-/// [`ttv`] with an explicit kernel backend.
-pub fn ttv_backend<S: Scalar>(
-    x: &CooTensor<S>,
-    v: &DenseVector<S>,
-    mode: usize,
-    backend: KernelBackend,
-) -> Result<CooTensor<S>> {
     check_operand(x.shape(), mode, v)?;
     if x.sort_state().is_mode_last(x.order(), mode) {
         let fp = x.fibers_sorted(mode)?;
-        ttv_prepared_backend(x, &fp, v, Schedule::default(), backend)
+        ttv_prepared(x, &fp, v, Schedule::default())
     } else {
         let mut c = x.clone();
         let fp = c.fibers(mode)?;
-        ttv_prepared_backend(&c, &fp, v, Schedule::default(), backend)
+        ttv_prepared(&c, &fp, v, Schedule::default())
     }
 }
 
@@ -226,28 +194,12 @@ pub fn ttv_ghicoo<S: Scalar>(
     v: &DenseVector<S>,
     sched: Schedule,
 ) -> Result<HicooTensor<S>> {
-    ttv_ghicoo_backend(g, fp, v, sched, simd::current_backend())
-}
-
-/// [`ttv_ghicoo`] with an explicit kernel backend.
-pub fn ttv_ghicoo_backend<S: Scalar>(
-    g: &GHicooTensor<S>,
-    fp: &GhFiberPartition,
-    v: &DenseVector<S>,
-    sched: Schedule,
-    backend: KernelBackend,
-) -> Result<HicooTensor<S>> {
     let mode = fp.mode;
     check_operand(g.shape(), mode, v)?;
     let _span = obs::span!("ttv.ghicoo");
     let mf = fp.num_fibers();
     charge(g.order(), g.nnz(), mf);
-    simd::note_dispatch(backend);
-    let nb = g.num_blocks();
-    let out_shape = g.shape().without_mode(mode)?;
-    let out_order = out_shape.order();
-    let other_modes: Vec<usize> = (0..g.order()).filter(|&m| m != mode).collect();
-
+    let backend = simd::dispatch();
     // Value computation: one dot product per fiber (same loop as COO).
     let gv = g.vals();
     let gk = g.find(mode);
@@ -257,24 +209,58 @@ pub fn ttv_ghicoo_backend<S: Scalar>(
         let r = fp.fiber_range(f);
         *out = simd::fiber_dot(backend, &gv[r.clone()], &gk[r], vv);
     });
+    ghicoo_output(g, fp, vals)
+}
 
-    // Output structure: block b of the output holds the fibers of input
-    // block b; block indices are the compressed block coords, element
-    // indices are the compressed element coords at each fiber start.
+/// Sequential HiCOO-Ttv baseline.
+pub fn ttv_ghicoo_seq<S: Scalar>(
+    g: &GHicooTensor<S>,
+    fp: &GhFiberPartition,
+    v: &DenseVector<S>,
+) -> Result<HicooTensor<S>> {
+    let mode = fp.mode;
+    check_operand(g.shape(), mode, v)?;
+    let _span = obs::span!("ttv.ghicoo.seq");
+    let mf = fp.num_fibers();
+    charge(g.order(), g.nnz(), mf);
+    let backend = simd::dispatch();
+    let gv = g.vals();
+    let gk = g.find(mode);
+    let vv = v.as_slice();
+    let vals = (0..mf)
+        .map(|f| {
+            let r = fp.fiber_range(f);
+            simd::fiber_dot(backend, &gv[r.clone()], &gk[r], vv)
+        })
+        .collect();
+    ghicoo_output(g, fp, vals)
+}
+
+/// Assemble a gHiCOO Ttv's HiCOO output around its per-fiber values: block
+/// `b` of the output holds the fibers of input block `b`; block indices are
+/// the compressed block coords, element indices are the compressed element
+/// coords at each fiber start.
+fn ghicoo_output<S: Scalar>(
+    g: &GHicooTensor<S>,
+    fp: &GhFiberPartition,
+    vals: Vec<S>,
+) -> Result<HicooTensor<S>> {
+    let mode = fp.mode;
+    let out_shape = g.shape().without_mode(mode)?;
+    let other_modes: Vec<usize> = (0..g.order()).filter(|&m| m != mode).collect();
     let bptr: Vec<u64> = fp.block_fiber_ptr.iter().map(|&f| f as u64).collect();
     let binds: Vec<Vec<u32>> = other_modes
         .iter()
-        .map(|&md| (0..nb).map(|b| g.block_ind(b, md)).collect())
+        .map(|&md| (0..g.num_blocks()).map(|b| g.block_ind(b, md)).collect())
         .collect();
     let einds: Vec<Vec<u8>> = other_modes
         .iter()
         .map(|&md| {
             let src = g.eind(md);
-            (0..mf).map(|f| src[fp.fptr[f]]).collect()
+            (0..fp.num_fibers()).map(|f| src[fp.fptr[f]]).collect()
         })
         .collect();
-
-    debug_assert_eq!(binds.len(), out_order);
+    debug_assert_eq!(binds.len(), out_shape.order());
     Ok(HicooTensor::from_parts_unchecked(
         out_shape,
         g.block_bits(),
@@ -285,33 +271,6 @@ pub fn ttv_ghicoo_backend<S: Scalar>(
     ))
 }
 
-/// Sequential HiCOO-Ttv baseline.
-pub fn ttv_ghicoo_seq<S: Scalar>(
-    g: &GHicooTensor<S>,
-    fp: &GhFiberPartition,
-    v: &DenseVector<S>,
-) -> Result<HicooTensor<S>> {
-    // The parallel version is deterministic per fiber; reuse it on one lane
-    // by running with a sequential schedule over a local loop.
-    let mode = fp.mode;
-    check_operand(g.shape(), mode, v)?;
-    let mf = fp.num_fibers();
-    let gv = g.vals();
-    let gk = g.find(mode);
-    let vv = v.as_slice();
-    let backend = simd::current_backend();
-    let mut vals = vec![S::ZERO; mf];
-    for (f, out) in vals.iter_mut().enumerate() {
-        let r = fp.fiber_range(f);
-        *out = simd::fiber_dot(backend, &gv[r.clone()], &gk[r], vv);
-    }
-    // Assemble through the parallel path's structure code by substituting
-    // the computed values.
-    let mut out = ttv_ghicoo(g, fp, v, Schedule::default())?;
-    out.vals_mut().copy_from_slice(&vals);
-    Ok(out)
-}
-
 /// Convenience HiCOO-Ttv: re-blocks the input into the gHiCOO layout for
 /// `mode` (the paper's pre-processing), computes fibers, and runs the
 /// parallel kernel.
@@ -320,51 +279,17 @@ pub fn ttv_hicoo<S: Scalar>(
     v: &DenseVector<S>,
     mode: usize,
 ) -> Result<HicooTensor<S>> {
-    ttv_hicoo_backend(h, v, mode, simd::current_backend())
-}
-
-/// [`ttv_hicoo`] with an explicit kernel backend.
-pub fn ttv_hicoo_backend<S: Scalar>(
-    h: &HicooTensor<S>,
-    v: &DenseVector<S>,
-    mode: usize,
-    backend: KernelBackend,
-) -> Result<HicooTensor<S>> {
     check_operand(h.shape(), mode, v)?;
     let g = GHicooTensor::from_coo_for_mode(&h.to_coo(), h.block_bits(), mode)?;
     let fp = g.fibers(mode)?;
-    ttv_ghicoo_backend(&g, &fp, v, Schedule::default(), backend)
+    ttv_ghicoo(&g, &fp, v, Schedule::default())
 }
 
 /// Scheduled HiCOO-Ttv: contracts `mode` directly on the HiCOO blocks using
 /// the cached [`crate::sched::complement_schedule`], with no COO round-trip
 /// and no gHiCOO re-blocking (the pre-processing `ttv_hicoo` pays on every
-/// call). Tensors of order above [`MAX_SCHED_ORDER`] fall back to
-/// [`ttv_hicoo`].
-pub fn ttv_hicoo_sched<S: Scalar>(
-    h: &HicooTensor<S>,
-    v: &DenseVector<S>,
-    mode: usize,
-) -> Result<HicooTensor<S>> {
-    ttv_hicoo_sched_backend(h, v, mode, simd::current_backend())
-}
-
-/// [`ttv_hicoo_sched`] with an explicit kernel backend.
-pub fn ttv_hicoo_sched_backend<S: Scalar>(
-    h: &HicooTensor<S>,
-    v: &DenseVector<S>,
-    mode: usize,
-    backend: KernelBackend,
-) -> Result<HicooTensor<S>> {
-    check_operand(h.shape(), mode, v)?;
-    if h.order() > MAX_SCHED_ORDER {
-        return ttv_hicoo_backend(h, v, mode, backend);
-    }
-    let cs = crate::sched::complement_schedule(h, mode);
-    ttv_hicoo_sched_with_backend(h, v, mode, &cs, backend)
-}
-
-/// Scheduled HiCOO-Ttv against a prebuilt [`ComplementSchedule`].
+/// call). Tensors of order above 9, whose surviving element coordinates no
+/// longer pack into one `u64` key, fall back to [`ttv_hicoo`].
 ///
 /// Each schedule group collects the blocks that share every block
 /// coordinate except mode `n` — exactly the blocks whose nonzeros fold into
@@ -373,38 +298,19 @@ pub fn ttv_hicoo_sched_backend<S: Scalar>(
 /// packing the surviving element coordinates into a `u64` key, sorting, and
 /// folding equal-key runs in a fixed order, so the result is
 /// bitwise-deterministic across runs and thread counts.
-pub fn ttv_hicoo_sched_with<S: Scalar>(
+pub fn ttv_hicoo_sched<S: Scalar>(
     h: &HicooTensor<S>,
     v: &DenseVector<S>,
     mode: usize,
-    cs: &ComplementSchedule,
-) -> Result<HicooTensor<S>> {
-    ttv_hicoo_sched_with_backend(h, v, mode, cs, simd::current_backend())
-}
-
-/// [`ttv_hicoo_sched_with`] with an explicit kernel backend.
-pub fn ttv_hicoo_sched_with_backend<S: Scalar>(
-    h: &HicooTensor<S>,
-    v: &DenseVector<S>,
-    mode: usize,
-    cs: &ComplementSchedule,
-    backend: KernelBackend,
 ) -> Result<HicooTensor<S>> {
     check_operand(h.shape(), mode, v)?;
-    if cs.mode() != mode {
-        return Err(TensorError::InvalidStructure(format!(
-            "schedule built for mode {}, kernel invoked for mode {mode}",
-            cs.mode()
-        )));
+    if h.order() > MAX_SCHED_ORDER {
+        return ttv_hicoo(h, v, mode);
     }
+    let cs = crate::sched::complement_schedule(h, mode);
     let order = h.order();
-    if order > MAX_SCHED_ORDER {
-        return Err(TensorError::InvalidStructure(format!(
-            "scheduled Ttv supports order <= {MAX_SCHED_ORDER}, got {order}"
-        )));
-    }
     let _span = obs::span!("ttv.hicoo.scheduled");
-    simd::note_dispatch(backend);
+    let backend = simd::dispatch();
     let out_shape = h.shape().without_mode(mode)?;
     let other: Vec<usize> = (0..order).filter(|&m| m != mode).collect();
     let out_order = other.len();
@@ -655,16 +561,8 @@ mod tests {
     }
 
     #[test]
-    fn sched_rejects_mode_mismatched_schedule() {
-        let x = sample();
-        let h = HicooTensor::from_coo(&x, 1).unwrap();
-        let cs = crate::sched::complement_schedule(&h, 0);
-        let v = DenseVector::constant(4, 1.0f32);
-        assert!(ttv_hicoo_sched_with(&h, &v, 1, &cs).is_err());
-    }
-
-    #[test]
     fn backends_are_bitwise_identical() {
+        use crate::simd::with_backend;
         use crate::simd::KernelBackend::{Scalar, Simd};
         // Long fibers so the vectorized dot product exercises full lanes
         // plus a scalar tail.
@@ -680,22 +578,22 @@ mod tests {
         let h = HicooTensor::from_coo(&x, 2).unwrap();
         for mode in 0..3 {
             let v = DenseVector::from_fn(x.shape().dim(mode) as usize, |i| (i as f32) * 0.25 - 2.0);
-            let a = ttv_backend(&x, &v, mode, Scalar).unwrap();
-            let b = ttv_backend(&x, &v, mode, Simd).unwrap();
+            let a = with_backend(Scalar, || ttv(&x, &v, mode)).unwrap();
+            let b = with_backend(Simd, || ttv(&x, &v, mode)).unwrap();
             assert_eq!(
                 a.vals().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 b.vals().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 "coo mode {mode}"
             );
-            let hs = ttv_hicoo_sched_backend(&h, &v, mode, Scalar).unwrap();
-            let hv = ttv_hicoo_sched_backend(&h, &v, mode, Simd).unwrap();
+            let hs = with_backend(Scalar, || ttv_hicoo_sched(&h, &v, mode)).unwrap();
+            let hv = with_backend(Simd, || ttv_hicoo_sched(&h, &v, mode)).unwrap();
             assert_eq!(
                 hs.vals().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 hv.vals().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 "hicoo sched mode {mode}"
             );
-            let gs = ttv_hicoo_backend(&h, &v, mode, Scalar).unwrap();
-            let gv = ttv_hicoo_backend(&h, &v, mode, Simd).unwrap();
+            let gs = with_backend(Scalar, || ttv_hicoo(&h, &v, mode)).unwrap();
+            let gv = with_backend(Simd, || ttv_hicoo(&h, &v, mode)).unwrap();
             assert_eq!(gs.vals(), gv.vals(), "ghicoo mode {mode}");
         }
     }

@@ -26,7 +26,10 @@
 //! Schedules depend only on the sparsity structure, not the values, so they
 //! are built once and reused across kernel invocations — a global cache
 //! keyed by `(tensor identity, mode, threads)` makes reuse automatic (see
-//! [`mode_schedule`] / [`complement_schedule`] / [`row_schedule`]).
+//! [`mode_schedule`] / [`complement_schedule`] / [`row_schedule`]). The
+//! identity is a structure id: minted when a tensor is built, cloned, or
+//! re-sorted, and never shared by two tensors, so a tensor can hit only a
+//! schedule built from its own structure.
 //! Construction is `O(nnz + n_b log n_b)` and the schedule stores ~8 bytes
 //! per block (plus 4 bytes per nonzero for [`RowSchedule`]).
 
@@ -37,7 +40,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use rayon::prelude::*;
 
 use crate::coo::CooTensor;
-use crate::hicoo::HicooTensor;
+use crate::hicoo::{BlockTraversal, HicooTensor};
 use crate::par::current_threads;
 use crate::scalar::Scalar;
 
@@ -403,18 +406,41 @@ impl ComplementSchedule {
 // Schedule cache
 // ---------------------------------------------------------------------------
 
-/// Identity of a cached schedule. The tensor is identified by the address
-/// and length of its value array plus its structural counts: a tensor that
-/// was dropped and replaced by a different one at the same address would
-/// also have to match nnz, block count, block bits, mode, and thread count
-/// for a stale hit — call [`clear_cache`] when exact control is needed
-/// (tests do).
+/// Process-unique identity of one tensor's nonzero structure, the key the
+/// schedule cache uses for "this tensor". Every construction, clone and
+/// re-sort mints a fresh id; value edits keep it (schedules do not depend
+/// on values). Ids compare equal under `PartialEq`, so the field never
+/// changes whether two tensors are equal.
+#[derive(Debug)]
+pub(crate) struct StructureId(u64);
+
+impl StructureId {
+    pub(crate) fn new() -> Self {
+        static NEXT: AtomicU64 = AtomicU64::new(1);
+        StructureId(NEXT.fetch_add(1, Ordering::Relaxed))
+    }
+
+    pub(crate) fn get(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Clone for StructureId {
+    fn clone(&self) -> Self {
+        StructureId::new()
+    }
+}
+
+impl PartialEq for StructureId {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+/// Identity of a cached schedule.
 #[derive(PartialEq, Eq, Clone, Copy, Debug)]
 struct CacheKey {
-    data_ptr: usize,
-    nnz: usize,
-    blocks: usize,
-    block_bits: u8,
+    tensor: u64,
     mode: usize,
     threads: usize,
     kind: u8,
@@ -478,14 +504,14 @@ pub fn clear_cache() {
     cache().lock().unwrap().clear();
 }
 
-/// Cached [`ModeSchedule`] for `(h, mode, current_threads())`.
-pub fn mode_schedule<S: Scalar>(h: &HicooTensor<S>, mode: usize) -> Arc<ModeSchedule> {
+/// Cached [`ModeSchedule`] for `(h, mode, current_threads())`, for any
+/// block-structured tensor (HiCOO and vb-HiCOO share their block arrays,
+/// so a vb tensor converted from a HiCOO tensor gets an identical
+/// schedule).
+pub fn mode_schedule<S: Scalar, T: BlockTraversal<S>>(h: &T, mode: usize) -> Arc<ModeSchedule> {
     let threads = current_threads().max(1);
     let key = CacheKey {
-        data_ptr: h.vals().as_ptr() as usize,
-        nnz: h.nnz(),
-        blocks: h.num_blocks(),
-        block_bits: h.block_bits(),
+        tensor: h.structure_id(),
         mode,
         threads,
         kind: KIND_MODE,
@@ -504,47 +530,11 @@ pub fn mode_schedule<S: Scalar>(h: &HicooTensor<S>, mode: usize) -> Arc<ModeSche
     s
 }
 
-/// Cached [`ModeSchedule`] for a value-blocked HiCOO tensor, keyed on its
-/// padded value buffer. Built from the same `binds`/`bptr` arrays as the
-/// plain HiCOO schedule, so a vb tensor converted from a HiCOO tensor
-/// yields an identical schedule (and the scheduled vb kernel bitwise-
-/// matches the scheduled HiCOO kernel).
-pub fn vb_mode_schedule<S: Scalar>(
-    x: &crate::hicoo::VbHicooTensor<S>,
-    mode: usize,
-) -> Arc<ModeSchedule> {
-    let threads = current_threads().max(1);
-    let key = CacheKey {
-        data_ptr: x.padded_vals().as_ptr() as usize,
-        nnz: x.nnz(),
-        blocks: x.num_blocks(),
-        block_bits: x.block_bits(),
-        mode,
-        threads,
-        kind: KIND_MODE,
-    };
-    if let Some(CachedSchedule::Mode(s)) = cache_get(&key) {
-        return s;
-    }
-    let s = Arc::new(ModeSchedule::build(
-        &x.binds()[mode],
-        x.bptr(),
-        x.block_bits(),
-        mode,
-        threads,
-    ));
-    cache_put(key, CachedSchedule::Mode(Arc::clone(&s)));
-    s
-}
-
 /// Cached [`RowSchedule`] for `(x, mode, current_threads())`.
 pub fn row_schedule<S: Scalar>(x: &CooTensor<S>, mode: usize) -> Arc<RowSchedule> {
     let threads = current_threads().max(1);
     let key = CacheKey {
-        data_ptr: x.vals().as_ptr() as usize,
-        nnz: x.nnz(),
-        blocks: 0,
-        block_bits: 0,
+        tensor: x.structure_id(),
         mode,
         threads,
         kind: KIND_ROW,
@@ -565,10 +555,7 @@ pub fn row_schedule<S: Scalar>(x: &CooTensor<S>, mode: usize) -> Arc<RowSchedule
 /// Cached [`ComplementSchedule`] for `(h, mode)` (thread-independent).
 pub fn complement_schedule<S: Scalar>(h: &HicooTensor<S>, mode: usize) -> Arc<ComplementSchedule> {
     let key = CacheKey {
-        data_ptr: h.vals().as_ptr() as usize,
-        nnz: h.nnz(),
-        blocks: h.num_blocks(),
-        block_bits: h.block_bits(),
+        tensor: h.structure_id(),
         mode,
         threads: 0,
         kind: KIND_COMPLEMENT,

@@ -22,18 +22,22 @@
 //! ## Backend selection
 //!
 //! Resolution order for the ambient backend:
-//! 1. a process-wide forced override ([`force_backend`], set by tests and
+//! 1. a thread-scoped backend installed by [`with_backend`] (the
+//!    supervisor's Scalar retry, the Scalar-vs-Simd suite, and the
+//!    equivalence tests pick a backend this way),
+//! 2. a process-wide forced override ([`force_backend`], set by tests and
 //!    the `--backend` CLI flag),
-//! 2. the `TENBENCH_BACKEND` environment variable (`auto`/`scalar`/`simd`,
+//! 3. the `TENBENCH_BACKEND` environment variable (`auto`/`scalar`/`simd`,
 //!    parsed once per process),
-//! 3. `Auto`, which picks Simd when the host supports AVX2 and Scalar
+//! 4. `Auto`, which picks Simd when the host supports AVX2 and Scalar
 //!    otherwise.
 //!
-//! Kernel entry points resolve the ambient backend once per call (or take
-//! an explicit [`KernelBackend`] from the supervisor / ablation harness)
-//! and thread it down to these primitives.
+//! Kernel entry points resolve the ambient backend once per call, on the
+//! calling thread, and thread it down to these primitives; the parallel
+//! workers of that call therefore run the caller's backend.
 
 use std::any::TypeId;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
@@ -174,21 +178,47 @@ pub fn resolve(choice: BackendChoice) -> KernelBackend {
     }
 }
 
-/// The backend kernel entry points use when none is passed explicitly.
-pub fn current_backend() -> KernelBackend {
-    resolve(preferred_choice())
+thread_local! {
+    static SCOPED: Cell<Option<KernelBackend>> = const { Cell::new(None) };
 }
 
-/// Charge the `backend.*` observability counters for one kernel-level
-/// dispatch. Called once per kernel entry, not per slice primitive.
+/// Run `f` with `backend` as the calling thread's ambient backend, then
+/// restore the previous one, also when `f` panics. Scopes nest; other
+/// threads never see the scope, so a thread that should run a chosen
+/// backend (a supervisor watchdog worker) installs its own.
+pub fn with_backend<R>(backend: KernelBackend, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<KernelBackend>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            SCOPED.with(|s| s.set(self.0));
+        }
+    }
+    let _restore = Restore(SCOPED.with(|s| s.replace(Some(backend))));
+    f()
+}
+
+/// The backend kernel entry points run: the innermost [`with_backend`]
+/// scope on this thread, else the process preference.
+pub fn current_backend() -> KernelBackend {
+    SCOPED
+        .with(Cell::get)
+        .unwrap_or_else(|| resolve(preferred_choice()))
+}
+
+/// Resolve the backend one kernel call runs ([`current_backend`]) and
+/// charge the `backend.*` observability counters for it. Kernel entry
+/// points call this once, on the calling thread, and pass the result down
+/// to the slice primitives.
 ///
 /// * Simd dispatch bumps `backend.simd_calls`, plus
 ///   `backend.unsupported_target` when the vector path will degrade to
 ///   the portable lanes (no AVX2).
 /// * Scalar dispatch bumps `backend.scalar_fallbacks` only when the
-///   ambient preference resolves to Simd — i.e. this call deviated from
-///   the preferred backend (supervisor fallback, explicit override).
-pub fn note_dispatch(backend: KernelBackend) {
+///   process preference resolves to Simd — i.e. this call deviated from
+///   the preferred backend (a [`with_backend`] Scalar scope: supervisor
+///   fallback, explicit override).
+pub(crate) fn dispatch() -> KernelBackend {
+    let backend = current_backend();
     match backend {
         KernelBackend::Simd => {
             BACKEND_SIMD_CALLS.add(1);
@@ -202,6 +232,7 @@ pub fn note_dispatch(backend: KernelBackend) {
             }
         }
     }
+    backend
 }
 
 /// Elements per vector register for scalar type `S` (8 for f32, 4 for
@@ -1244,6 +1275,45 @@ mod tests {
         let _ = current_backend(); // whatever env/auto resolves to
     }
 
+    #[test]
+    fn with_backend_nests_and_restores() {
+        let _guard = FORCE_LOCK.lock().unwrap();
+        force_backend(Some(BackendChoice::Simd));
+        with_backend(KernelBackend::Scalar, || {
+            assert_eq!(current_backend(), KernelBackend::Scalar);
+            with_backend(KernelBackend::Simd, || {
+                assert_eq!(current_backend(), KernelBackend::Simd);
+            });
+            assert_eq!(current_backend(), KernelBackend::Scalar);
+        });
+        assert_eq!(current_backend(), KernelBackend::Simd);
+        force_backend(None);
+    }
+
+    #[test]
+    fn with_backend_restores_after_panic() {
+        let _guard = FORCE_LOCK.lock().unwrap();
+        force_backend(Some(BackendChoice::Simd));
+        let caught = std::panic::catch_unwind(|| {
+            with_backend(KernelBackend::Scalar, || panic!("kernel fault"))
+        });
+        assert!(caught.is_err());
+        assert_eq!(current_backend(), KernelBackend::Simd);
+        force_backend(None);
+    }
+
+    #[test]
+    fn with_backend_does_not_leak_to_other_threads() {
+        let _guard = FORCE_LOCK.lock().unwrap();
+        force_backend(Some(BackendChoice::Simd));
+        with_backend(KernelBackend::Scalar, || {
+            let other = std::thread::spawn(current_backend).join().unwrap();
+            assert_eq!(other, KernelBackend::Simd);
+            assert_eq!(current_backend(), KernelBackend::Scalar);
+        });
+        force_backend(None);
+    }
+
     // Every primitive must be *bitwise* identical across backends on all
     // lengths around the lane boundaries (tails of every size).
     #[test]
@@ -1343,7 +1413,7 @@ mod tests {
     }
 
     #[test]
-    fn note_dispatch_charges_counters() {
+    fn dispatch_charges_counters() {
         use tenbench_obs::counters;
         let _guard = FORCE_LOCK.lock().unwrap();
         let _scope = counters::counters_scope();
@@ -1351,11 +1421,11 @@ mod tests {
         // concurrently-running kernel test charge these counters too.
         let simd0 = counters::BACKEND_SIMD_CALLS.get();
         let fall0 = counters::BACKEND_SCALAR_FALLBACKS.get();
-        note_dispatch(KernelBackend::Simd);
+        with_backend(KernelBackend::Simd, dispatch);
         assert!(counters::BACKEND_SIMD_CALLS.get() > simd0);
         // Scalar dispatch counts as a fallback only while Simd is preferred.
         force_backend(Some(BackendChoice::Simd));
-        note_dispatch(KernelBackend::Scalar);
+        with_backend(KernelBackend::Scalar, dispatch);
         assert!(counters::BACKEND_SCALAR_FALLBACKS.get() > fall0);
         force_backend(None);
     }

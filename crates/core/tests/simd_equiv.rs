@@ -17,7 +17,7 @@ use tenbench_core::hicoo::{HicooTensor, VbHicooTensor};
 use tenbench_core::kernels::{mttkrp, tew, ts, ttm, ttv, EwOp};
 use tenbench_core::par::with_threads;
 use tenbench_core::shape::Shape;
-use tenbench_core::simd::KernelBackend;
+use tenbench_core::simd::{with_backend, KernelBackend};
 
 use proptest::prelude::*;
 
@@ -109,28 +109,28 @@ fn exercise(name: &str, x: &CooTensor<f32>, rank: usize) {
     let (s, v) = (KernelBackend::Scalar, KernelBackend::Simd);
 
     for op in [EwOp::Add, EwOp::Sub, EwOp::Mul, EwOp::Div] {
-        let a = tew::tew_same_pattern_backend(x, &y, op, s).unwrap();
-        let b = tew::tew_same_pattern_backend(x, &y, op, v).unwrap();
+        let a = with_backend(s, || tew::tew_same_pattern(x, &y, op)).unwrap();
+        let b = with_backend(v, || tew::tew_same_pattern(x, &y, op)).unwrap();
         assert_bits(&format!("{name}/tew/coo/{op:?}"), a.vals(), b.vals());
-        let a = tew::tew_hicoo_same_pattern_backend(&hx, &hy, op, s).unwrap();
-        let b = tew::tew_hicoo_same_pattern_backend(&hx, &hy, op, v).unwrap();
+        let a = with_backend(s, || tew::tew_hicoo_same_pattern(&hx, &hy, op)).unwrap();
+        let b = with_backend(v, || tew::tew_hicoo_same_pattern(&hx, &hy, op)).unwrap();
         assert_bits(&format!("{name}/tew/hicoo/{op:?}"), a.vals(), b.vals());
-        let a = tew::tew_vb_same_pattern_backend(&vx, &vy, op, s).unwrap();
-        let b = tew::tew_vb_same_pattern_backend(&vx, &vy, op, v).unwrap();
+        let a = with_backend(s, || tew::tew_vb_same_pattern(&vx, &vy, op)).unwrap();
+        let b = with_backend(v, || tew::tew_vb_same_pattern(&vx, &vy, op)).unwrap();
         assert_bits(
             &format!("{name}/tew/vb/{op:?}"),
             a.padded_vals(),
             b.padded_vals(),
         );
 
-        let a = ts::ts_backend(x, 1.73, op, s).unwrap();
-        let b = ts::ts_backend(x, 1.73, op, v).unwrap();
+        let a = with_backend(s, || ts::ts(x, 1.73, op)).unwrap();
+        let b = with_backend(v, || ts::ts(x, 1.73, op)).unwrap();
         assert_bits(&format!("{name}/ts/coo/{op:?}"), a.vals(), b.vals());
-        let a = ts::ts_hicoo_backend(&hx, 1.73, op, s).unwrap();
-        let b = ts::ts_hicoo_backend(&hx, 1.73, op, v).unwrap();
+        let a = with_backend(s, || ts::ts_hicoo(&hx, 1.73, op)).unwrap();
+        let b = with_backend(v, || ts::ts_hicoo(&hx, 1.73, op)).unwrap();
         assert_bits(&format!("{name}/ts/hicoo/{op:?}"), a.vals(), b.vals());
-        let a = ts::ts_vb_backend(&vx, 1.73, op, s).unwrap();
-        let b = ts::ts_vb_backend(&vx, 1.73, op, v).unwrap();
+        let a = with_backend(s, || ts::ts_vb(&vx, 1.73, op)).unwrap();
+        let b = with_backend(v, || ts::ts_vb(&vx, 1.73, op)).unwrap();
         assert_bits(
             &format!("{name}/ts/vb/{op:?}"),
             a.padded_vals(),
@@ -140,28 +140,28 @@ fn exercise(name: &str, x: &CooTensor<f32>, rank: usize) {
 
     for mode in 0..x.order() {
         let w = DenseVector::from_fn(x.shape().dim(mode) as usize, |i| (i as f32 - 3.0) * 0.25);
-        let a = ttv::ttv_backend(x, &w, mode, s).unwrap();
-        let b = ttv::ttv_backend(x, &w, mode, v).unwrap();
+        let a = with_backend(s, || ttv::ttv(x, &w, mode)).unwrap();
+        let b = with_backend(v, || ttv::ttv(x, &w, mode)).unwrap();
         assert_bits(&format!("{name}/ttv/coo/m{mode}"), a.vals(), b.vals());
-        let a = ttv::ttv_hicoo_sched_backend(&hx, &w, mode, s).unwrap();
-        let b = ttv::ttv_hicoo_sched_backend(&hx, &w, mode, v).unwrap();
+        let a = with_backend(s, || ttv::ttv_hicoo_sched(&hx, &w, mode)).unwrap();
+        let b = with_backend(v, || ttv::ttv_hicoo_sched(&hx, &w, mode)).unwrap();
         assert_bits(&format!("{name}/ttv/hicoo/m{mode}"), a.vals(), b.vals());
 
-        let a = ttm::ttm_backend(x, frefs[mode], mode, s).unwrap();
-        let b = ttm::ttm_backend(x, frefs[mode], mode, v).unwrap();
+        let a = with_backend(s, || ttm::ttm(x, frefs[mode], mode)).unwrap();
+        let b = with_backend(v, || ttm::ttm(x, frefs[mode], mode)).unwrap();
         assert_bits(&format!("{name}/ttm/coo/m{mode}"), a.vals(), b.vals());
-        let a = ttm::ttm_hicoo_sched_backend(&hx, frefs[mode], mode, s).unwrap();
-        let b = ttm::ttm_hicoo_sched_backend(&hx, frefs[mode], mode, v).unwrap();
+        let a = with_backend(s, || ttm::ttm_hicoo_sched(&hx, frefs[mode], mode)).unwrap();
+        let b = with_backend(v, || ttm::ttm_hicoo_sched(&hx, frefs[mode], mode)).unwrap();
         assert_bits(&format!("{name}/ttm/hicoo/m{mode}"), a.vals(), b.vals());
 
-        let a = mttkrp::mttkrp_atomic_backend(x, &frefs, mode, s).unwrap();
-        let b = mttkrp::mttkrp_atomic_backend(x, &frefs, mode, v).unwrap();
+        let a = with_backend(s, || mttkrp::mttkrp_atomic(x, &frefs, mode)).unwrap();
+        let b = with_backend(v, || mttkrp::mttkrp_atomic(x, &frefs, mode)).unwrap();
         assert_bits(&format!("{name}/mttkrp/coo/m{mode}"), a.data(), b.data());
-        let a = mttkrp::mttkrp_hicoo_sched_backend(&hx, &frefs, mode, s).unwrap();
-        let b = mttkrp::mttkrp_hicoo_sched_backend(&hx, &frefs, mode, v).unwrap();
+        let a = with_backend(s, || mttkrp::mttkrp_hicoo_sched(&hx, &frefs, mode)).unwrap();
+        let b = with_backend(v, || mttkrp::mttkrp_hicoo_sched(&hx, &frefs, mode)).unwrap();
         assert_bits(&format!("{name}/mttkrp/hicoo/m{mode}"), a.data(), b.data());
-        let a = mttkrp::mttkrp_vb_sched_backend(&vx, &frefs, mode, s).unwrap();
-        let b = mttkrp::mttkrp_vb_sched_backend(&vx, &frefs, mode, v).unwrap();
+        let a = with_backend(s, || mttkrp::mttkrp_hicoo_sched(&vx, &frefs, mode)).unwrap();
+        let b = with_backend(v, || mttkrp::mttkrp_hicoo_sched(&vx, &frefs, mode)).unwrap();
         assert_bits(&format!("{name}/mttkrp/vb/m{mode}"), a.data(), b.data());
     }
 }
@@ -203,29 +203,33 @@ fn scheduled_simd_mttkrp_is_bitwise_stable_across_runs() {
     for threads in [1usize, 3] {
         with_threads(threads, || {
             for mode in 0..x.order() {
-                let first =
-                    mttkrp::mttkrp_hicoo_sched_backend(&hx, &frefs, mode, KernelBackend::Simd)
-                        .unwrap();
-                let vfirst =
-                    mttkrp::mttkrp_vb_sched_backend(&vx, &frefs, mode, KernelBackend::Simd)
-                        .unwrap();
+                let first = with_backend(KernelBackend::Simd, || {
+                    mttkrp::mttkrp_hicoo_sched(&hx, &frefs, mode)
+                })
+                .unwrap();
+                let vfirst = with_backend(KernelBackend::Simd, || {
+                    mttkrp::mttkrp_hicoo_sched(&vx, &frefs, mode)
+                })
+                .unwrap();
                 assert_bits(
                     &format!("hicoo-vs-vb/m{mode}/t{threads}"),
                     first.data(),
                     vfirst.data(),
                 );
                 for rep in 0..3 {
-                    let again =
-                        mttkrp::mttkrp_hicoo_sched_backend(&hx, &frefs, mode, KernelBackend::Simd)
-                            .unwrap();
+                    let again = with_backend(KernelBackend::Simd, || {
+                        mttkrp::mttkrp_hicoo_sched(&hx, &frefs, mode)
+                    })
+                    .unwrap();
                     assert_bits(
                         &format!("stability/m{mode}/t{threads}/rep{rep}"),
                         first.data(),
                         again.data(),
                     );
-                    let vagain =
-                        mttkrp::mttkrp_vb_sched_backend(&vx, &frefs, mode, KernelBackend::Simd)
-                            .unwrap();
+                    let vagain = with_backend(KernelBackend::Simd, || {
+                        mttkrp::mttkrp_hicoo_sched(&vx, &frefs, mode)
+                    })
+                    .unwrap();
                     assert_bits(
                         &format!("vb-stability/m{mode}/t{threads}/rep{rep}"),
                         vfirst.data(),

@@ -30,6 +30,7 @@ impl Value {
     /// Parse a complete JSON document (trailing whitespace allowed).
     pub fn parse(text: &str) -> Result<Value, String> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
@@ -87,6 +88,7 @@ impl Value {
 const MAX_DEPTH: usize = 256;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -223,11 +225,13 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // byte stream is valid UTF-8).
-                    let rest =
-                        std::str::from_utf8(&self.bytes[self.pos..]).map_err(|e| e.to_string())?;
-                    let ch = rest.chars().next().ok_or("unterminated string")?;
+                    // Consume one UTF-8 scalar straight from the `&str`
+                    // (O(1) per char; `pos` only ever stops on boundaries).
+                    let ch = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or("unterminated string")?;
                     if (ch as u32) < 0x20 {
                         return Err(format!("raw control char at byte {}", self.pos));
                     }
@@ -552,6 +556,16 @@ mod tests {
             assert_eq!(Value::parse(&json_f64(v)), Ok(Value::Null));
         }
         assert_eq!(json_f64_fixed(1.23456, 3), "1.235");
+    }
+
+    #[test]
+    fn multi_megabyte_string_round_trips() {
+        let piece = "ascii \"quoted\" back\\slash\n\ttab é ü 漢字 🦀 \u{1} / end;";
+        let text = piece.repeat(40_000);
+        assert!(text.len() > 2_000_000);
+        let json = format!("\"{}\"", escape_json(&text));
+        let v = Value::parse(&json).unwrap();
+        assert_eq!(v.as_str(), Some(text.as_str()));
     }
 
     #[test]

@@ -18,11 +18,12 @@
 //! hot tensor cannot stall admission for the rest of the key space.
 //!
 //! Causal tracing crosses the socket in the frame header's `ctx` word:
-//! the client stamps its [`TraceCtx`] id, the connection handler mints a
-//! child of that id ([`TraceCtx::mint_with_parent`]) and installs it
-//! around the submit, and the service mints the request ctx as a child of
-//! *that* — a flight-recorder dump stitches client → connection → shard →
-//! pool worker into one chain.
+//! the client stamps its [`TraceCtx`](tenbench_obs::TraceCtx) id, the
+//! connection handler mints a child of that id
+//! ([`TraceCtx::mint_with_parent`](tenbench_obs::TraceCtx::mint_with_parent))
+//! and installs it around the submit, and the service mints the request
+//! ctx as a child of *that* — a flight-recorder dump stitches client →
+//! connection → shard → pool worker into one chain.
 //!
 //! Protocol errors are typed, never fatal to the process: an undecodable
 //! request payload inside a valid frame gets a [`WireStatus::BadRequest`]
@@ -262,7 +263,7 @@ fn get_str(payload: &mut Bytes) -> Result<String, String> {
     Ok(s)
 }
 
-/// Decode a response payload (the client side of [`encode_response`]).
+/// Decode a response payload (the client side of `encode_response`).
 pub fn decode_response(payload: &mut Bytes) -> Result<WireResponse, String> {
     if !payload.has_remaining() {
         return Err("empty response payload".into());

@@ -341,7 +341,7 @@ pub fn execute_direct(job: &BatchJob) -> Result<ExecOutcome, String> {
             }
             match &job.vb {
                 Some(vx) => {
-                    let y = mttkrp::mttkrp_vb_sched(vx, &frefs, job.mode).map_err(err)?;
+                    let y = mttkrp::mttkrp_hicoo_sched(&**vx, &frefs, job.mode).map_err(err)?;
                     (digest_matrix(&y), "vb_scheduled")
                 }
                 None => {
